@@ -22,6 +22,9 @@
      dune exec bench/main.exe -- --matrix     # five-scheme protection matrix
                                               # (gcc/bcc/bcc-bound/cash/mpx/
                                               # cap; --quick for the CI slice)
+     dune exec bench/main.exe -- --matrix --trace
+                                              # the same, at one job, under
+                                              # the shipped checker plugins
 
    The reproduction pass runs its 14 experiments as independent jobs on
    a Domain pool (lib/parallel): -j N picks the worker count, defaulting
@@ -171,6 +174,22 @@ let write_json ~path ~oc ~engine ~traced ~quick ~jobs ~n_experiments
 let write_trace_json ~path sink =
   Core.write_file path (Trace.Json.to_string (Trace.to_json sink) ^ "\n");
   Printf.printf "wrote %s\n" path
+
+(* Print each attached plugin's verdict on [oc] and return the shipped
+   plugins' violations, each also listed on stderr. *)
+let report_plugins oc sink =
+  let violations = Checkers.shipped_violations sink in
+  Printf.fprintf oc "\n== trace: checker plugins ==\n";
+  List.iter
+    (fun name ->
+      let n = List.length (List.filter (fun (c, _) -> c = name) violations) in
+      Printf.fprintf oc "%-28s %s\n" name
+        (if n = 0 then "ok" else Printf.sprintf "%d violation(s)" n))
+    (Trace.plugin_names sink);
+  List.iter
+    (fun (c, m) -> Printf.eprintf "plugin violation: %s: %s\n" c m)
+    violations;
+  violations
 
 (* Per-job wall-clock: the suite's critical path is its slowest job.
    With Table 8 split into warm-started per-request jobs, the largest
@@ -488,18 +507,37 @@ let write_matrix_json ~engine ~jobs ~quick ~workloads
    output agreement and the gcc cycle floor (raising on violation);
    simulated cycles are engine- and parallelism-independent, so the
    printed table is byte-identical at any -j and under any engine — the
-   CI step pins that by diffing two runs. *)
-let run_matrix ~quick ~engine ~jobs =
+   CI step pins that by diffing two runs.
+
+   With --trace the matrix runs under one ambient sink carrying every
+   shipped checker plugin, so the plugins watch the mpx and cap event
+   streams too. Ambient sinks are per-domain, so a traced matrix runs at
+   one job. Tracing changes no simulated number: stdout carries the same
+   table and totals, the plugin verdicts go to stderr, and any shipped
+   plugin violation exits 1. *)
+let run_matrix ~quick ~engine ~jobs ~traced =
   Core.set_default_engine engine;
+  let jobs = if traced then 1 else jobs in
+  let sink =
+    if traced then begin
+      let s = Trace.create () in
+      Checkers.attach_shipped s;
+      Some s
+    end
+    else None
+  in
+  Core.set_default_trace sink;
   Printf.printf
-    "== bench --matrix: five-scheme protection matrix (engine %s, -j %d) \
+    "== bench --matrix: five-scheme protection matrix (engine %s, -j %d%s) \
      ==\n%!"
-    (Core.engine_name engine) jobs;
+    (Core.engine_name engine) jobs
+    (if traced then ", traced" else "");
   match Harness.Matrix.run ~quick ~jobs () with
   | exception Harness.Runner.Disagreement msg ->
     Printf.eprintf "bench --matrix: %s\n" msg;
     exit 1
   | report, totals ->
+    Core.set_default_trace None;
     Harness.Report.print report;
     print_endline "\n== per-scheme totals over the slice ==";
     List.iter
@@ -511,7 +549,12 @@ let run_matrix ~quick ~engine ~jobs =
     let workloads =
       List.length (Harness.Matrix.workloads ~quick)
     in
-    write_matrix_json ~engine ~jobs ~quick ~workloads totals
+    write_matrix_json ~engine ~jobs ~quick ~workloads totals;
+    Option.iter
+      (fun s ->
+        Trace.finish_plugins s;
+        if report_plugins stderr s <> [] then exit 1)
+      sink
 
 (* --- --frontend: compile-pipeline throughput ---------------------------- *)
 
@@ -835,22 +878,7 @@ let run_reproduction ~experiments ~engine ~chain ~jobs ~traced ~quick
      List.iter
        (fun (k, v) -> Printf.printf "%-28s %14d\n" k v)
        (Trace.counters s);
-     let violations = Checkers.shipped_violations s in
-     print_endline "\n== trace: checker plugins ==";
-     List.iter
-       (fun name ->
-         let n =
-           List.length (List.filter (fun (c, _) -> c = name) violations)
-         in
-         Printf.printf "%-28s %s\n" name
-           (if n = 0 then "ok" else Printf.sprintf "%d violation(s)" n))
-       (Trace.plugin_names s);
-     if violations <> [] then begin
-       List.iter
-         (fun (c, m) -> Printf.eprintf "plugin violation: %s: %s\n" c m)
-         violations;
-       exit 1
-     end
+     if report_plugins stdout s <> [] then exit 1
    | None -> ());
   (reports, tp, shape)
 
@@ -889,7 +917,7 @@ let () =
      exit 0
    | None -> ());
   if matrix_of_argv Sys.argv then begin
-    run_matrix ~quick ~engine ~jobs;
+    run_matrix ~quick ~engine ~jobs ~traced;
     exit 0
   end;
   if frontend_of_argv Sys.argv then begin

@@ -19,7 +19,7 @@
        evicts <= misses. *)
 
 type state = {
-  counts : (string, int ref) Hashtbl.t;  (* kind_name -> events seen *)
+  counts : int array;  (* events seen, indexed by Trace.kind_index *)
 }
 
 type Trace.plugin_state += S of state
@@ -29,15 +29,10 @@ let get = function S s -> s | _ -> assert false
 let name = "fault_consistency"
 
 let bump s kind =
-  let key = Trace.kind_name kind in
-  match Hashtbl.find_opt s.counts key with
-  | Some r -> incr r
-  | None -> Hashtbl.add s.counts key (ref 1)
+  let i = Trace.kind_index kind in
+  s.counts.(i) <- s.counts.(i) + 1
 
-let seen s kind =
-  match Hashtbl.find_opt s.counts (Trace.kind_name kind) with
-  | Some r -> !r
-  | None -> 0
+let seen s kind = s.counts.(Trace.kind_index kind)
 
 let on_event _sink st ev =
   let s = get st in
@@ -70,17 +65,17 @@ let at_finish sink st =
 
 let merge ~into src =
   let i = get into and s = get src in
-  Hashtbl.iter
-    (fun k r ->
-      match Hashtbl.find_opt i.counts k with
-      | Some ri -> ri := !ri + !r
-      | None -> Hashtbl.add i.counts k (ref !r))
-    s.counts
+  Array.iteri (fun k c -> i.counts.(k) <- i.counts.(k) + c) s.counts
 
+(* Only the kinds seen at least once, sorted by name. *)
 let to_json st =
   let s = get st in
   let entries =
-    Hashtbl.fold (fun k r acc -> (k, Trace.Json.Int !r) :: acc) s.counts []
+    List.filter_map
+      (fun kind ->
+        let c = seen s kind in
+        if c > 0 then Some (Trace.kind_name kind, Trace.Json.Int c) else None)
+      Trace.all_kinds
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   Trace.Json.Obj [ ("events_seen", Trace.Json.Obj entries) ]
@@ -91,7 +86,7 @@ let spec : Trace.Plugin.spec =
     p_doc =
       "sink counters match delivered events; failed checks never exceed \
        protection faults";
-    p_init = (fun () -> S { counts = Hashtbl.create 31 });
+    p_init = (fun () -> S { counts = Array.make Trace.num_kinds 0 });
     p_on_event = on_event;
     p_at_finish = at_finish;
     p_merge = merge;

@@ -5,17 +5,22 @@
    that layer for the Cash simulator. The hardware (lib/seghw), the CPU
    (lib/machine), and the OS (lib/osim) each hold a [sink option] and
    emit typed events when one is attached; the sink maintains per-kind
-   counters, a bounded ring of recent events, inline invariant checkers,
-   and the per-function cycle attribution the profiler merges in after a
-   run.
+   counters, a bounded ring of recent events, the attached checker
+   plugins, and the per-function cycle attribution the profiler merges
+   in after a run.
 
    Overhead policy: the traced-off cost is one load-and-branch per
    would-be event at each emitting site (no event is even constructed),
    so the hot path stays within noise of the untraced engine. The traced
-   cost is one allocation + counter bump + ring store per event. Tracing
-   never changes simulated semantics — cycles, stat counters, memory and
-   table output are bit-identical either way; test/test_predecode.ml
-   pins this. *)
+   cost is the event record the emitting site builds (none for the
+   constant [Tlb_hit]), one counter bump and one ring store per event.
+   Nothing else allocates on the hot events ([Limit_check], [Tlb_hit]):
+   the ring stores the event itself (no option box), [emit] walks the
+   plugin list without building a closure, and the shipped plugins keep
+   their books in mutable fields and flat arrays. test/test_trace.ml
+   pins that budget in minor words per event. Tracing never changes
+   simulated semantics — cycles, stat counters, memory and table output
+   are bit-identical either way; test/test_predecode.ml pins this. *)
 
 type ldt_path = Slow_syscall | Call_gate
 
@@ -432,11 +437,11 @@ type plugin_state = ..
 
 type sink = {
   counters : int array;           (* indexed by kind_index *)
-  ring : event option array;      (* circular buffer of recent events *)
+  ring : event array;             (* circular buffer of recent events *)
   capacity : int;
   mutable head : int;             (* next write position *)
+  mutable filled : int;           (* live ring slots, at most [capacity] *)
   mutable total : int;            (* events emitted, ever *)
-  mutable checkers : (string * (event -> unit)) list;
   mutable violation_log : (string * string) list; (* newest first *)
   reload_interval : Histogram.t;
   mutable checks_at_last_reload : int;
@@ -446,8 +451,7 @@ type sink = {
      engine's chaining machinery — the statistics its chain-layout
      decisions were made from, exported for offline inspection *)
   branch_bias : (int, int ref * int ref) Hashtbl.t;
-  (* instantiated plugins, in attach order; fed by [emit] after the
-     inline checkers *)
+  (* instantiated plugins, in attach order; fed by [emit] *)
   mutable plugins : plugin_instance list;
 }
 
@@ -516,11 +520,13 @@ let create ?(capacity = 4096) () =
   let t =
     {
       counters = Array.make num_kinds 0;
-      ring = Array.make capacity None;
+      (* [Tlb_hit] is a constant constructor: a placeholder that
+         allocates nothing; only the first [filled] slots are read *)
+      ring = Array.make capacity Tlb_hit;
       capacity;
       head = 0;
+      filled = 0;
       total = 0;
-      checkers = [];
       violation_log = [];
       reload_interval = Histogram.create ();
       checks_at_last_reload = 0;
@@ -551,6 +557,21 @@ let finish_plugins t =
 
 let count t kind = t.counters.(kind_index kind)
 
+(* Append one event to the ring, overwriting the oldest once full. *)
+let ring_push t ev =
+  t.ring.(t.head) <- ev;
+  let h = t.head + 1 in
+  t.head <- (if h = t.capacity then 0 else h);
+  if t.filled < t.capacity then t.filled <- t.filled + 1
+
+(* A top-level walk rather than [List.iter (fun i -> ...)]: that closure
+   would capture the sink and the event, one allocation per emit. *)
+let rec feed_plugins t ev = function
+  | [] -> ()
+  | i :: rest ->
+    i.i_spec.p_on_event t i.i_state ev;
+    feed_plugins t ev rest
+
 let emit t ev =
   let k = kind_of_event ev in
   let ki = kind_index k in
@@ -569,15 +590,9 @@ let emit t ev =
      Histogram.add t.reload_interval (checks - t.checks_at_last_reload);
      t.checks_at_last_reload <- checks
    | _ -> ());
-  t.ring.(t.head) <- Some ev;
-  t.head <- (t.head + 1) mod t.capacity;
+  ring_push t ev;
   t.total <- t.total + 1;
-  (match t.checkers with
-   | [] -> ()
-   | cs -> List.iter (fun (_, f) -> f ev) cs);
-  match t.plugins with
-  | [] -> ()
-  | ps -> List.iter (fun i -> i.i_spec.p_on_event t i.i_state ev) ps
+  feed_plugins t ev t.plugins
 
 let counters t =
   List.filter_map
@@ -588,20 +603,16 @@ let counters t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let events t =
-  (* Oldest-first: the ring wraps at [head]. *)
+  (* Oldest-first: the [filled] live slots end just before [head]. *)
   let acc = ref [] in
-  for i = t.capacity - 1 downto 0 do
-    match t.ring.((t.head + i) mod t.capacity) with
-    | Some ev -> acc := ev :: !acc
-    | None -> ()
+  for i = 1 to t.filled do
+    acc := t.ring.((t.head - i + t.capacity) mod t.capacity) :: !acc
   done;
   !acc
 
 let total_events t = t.total
-let dropped t = max 0 (t.total - t.capacity)
+let dropped t = t.total - t.filled
 let reload_interval t = t.reload_interval
-
-let add_checker t ~name f = t.checkers <- t.checkers @ [ (name, f) ]
 
 let violation t ~checker msg =
   t.violation_log <- (checker, msg) :: t.violation_log
@@ -651,7 +662,7 @@ let branch_bias_histogram t =
    reload-interval histogram, attribution, and the emitted-event totals
    sum exactly; [src]'s surviving ring events and violations are
    appended after [into]'s in [src]-emission order, so merging per-job
-   sinks in job order is deterministic. [into]'s checkers are NOT run
+   sinks in job order is deterministic. [into]'s plugins are NOT run
    on the merged events: merging is aggregation, not emission. Both
    sinks are expected to be quiescent (their runs finished) — the
    reload-interval boundary state is not carried over, so a sink that
@@ -660,11 +671,7 @@ let merge_into ~into src =
   Array.iteri
     (fun i c -> into.counters.(i) <- into.counters.(i) + c)
     src.counters;
-  List.iter
-    (fun ev ->
-      into.ring.(into.head) <- Some ev;
-      into.head <- (into.head + 1) mod into.capacity)
-    (events src);
+  List.iter (ring_push into) (events src);
   into.total <- into.total + src.total;
   Histogram.merge_into ~into:into.reload_interval src.reload_interval;
   (* [violation_log] is newest-first; prepending the reversed oldest-first
@@ -679,10 +686,9 @@ let merge_into ~into src =
     src.branch_bias;
   (* Plugin states fold by name: a plugin present on both sides merges
      src's state into into's (aggregation — [into]'s plugins are NOT
-     re-run on the merged events, same as its checkers); a plugin only
-     on [src] moves across with its state. The fold happens after the
-     ring append above, so a plugin cannot observe merged events as
-     emissions. *)
+     re-run on the merged events); a plugin only on [src] moves across
+     with its state. The fold happens after the ring append above, so a
+     plugin cannot observe merged events as emissions. *)
   List.iter
     (fun si ->
       match

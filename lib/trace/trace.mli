@@ -8,17 +8,20 @@
       always cheap, never dropped;
     - a {e ring buffer} of the most recent events, for inspection and
       JSON export (old events are overwritten, the drop count is kept);
-    - {e checkers}: inline invariant callbacks in the Checkbochs style,
-      run against every event as it is emitted; a checker records
+    - {e plugins}: stateful invariant checkers in the Checkbochs style
+      ({!Plugin}), fed every event as it is emitted; a plugin records
       violations on the sink instead of raising, so a checked run
       completes and the violations can be asserted afterwards.
 
     The emitting layers hold a [sink option] and test it before
     constructing an event, so a detached run pays one load-and-branch
-    per would-be event and allocates nothing. Tracing never changes
-    simulated semantics: cycles, counters, memory, and table output are
-    bit-identical with and without a sink attached (asserted by the
-    oracle suite in [test/test_predecode.ml]). *)
+    per would-be event and allocates nothing. An attached sink costs
+    the event record, one counter bump and one ring store per event;
+    the ring, the plugin dispatch and the shipped plugins add no
+    allocation of their own on [Limit_check] and [Tlb_hit]. Tracing
+    never changes simulated semantics: cycles, counters, memory, and
+    table output are bit-identical with and without a sink attached
+    (asserted by the oracle suite in [test/test_predecode.ml]). *)
 
 (** Which kernel path performed an LDT update. *)
 type ldt_path = Slow_syscall | Call_gate
@@ -81,6 +84,12 @@ val kind_of_event : event -> kind
 val kind_name : kind -> string
 val all_kinds : kind list
 
+(** A kind's position in [0, num_kinds): the index of its counter, and
+    of any per-kind table a plugin keeps as a flat array. *)
+val kind_index : kind -> int
+
+val num_kinds : int
+
 (** A power-of-two-bucketed histogram: bucket [i] counts samples [v]
     with [2^(i-1) <= v < 2^i] (bucket 0 counts [v <= 0]). *)
 module Histogram : sig
@@ -139,9 +148,8 @@ type sink
 
     A plugin is a named, stateful event subscriber in the Checkbochs
     style: one hardware-level property per plugin, expressed over the
-    typed event stream. Unlike the raw {!add_checker} callbacks,
-    plugins carry their own typed state (so they survive
-    {!merge_into} across a parallel run's per-job sinks), an
+    typed event stream. Plugins carry their own typed state (so they
+    survive {!merge_into} across a parallel run's per-job sinks), an
     end-of-run pass for invariants only decidable once the stream is
     over, and a JSON report. Shipped plugins live in [lib/checkers];
     writing a new one takes a state constructor and a
@@ -212,7 +220,7 @@ val plugin_json : sink -> (string * Json.t) list
 val finish_plugins : sink -> unit
 
 (** Record an event: bump its kind counter, append it to the ring, feed
-    every registered checker. *)
+    every attached plugin in attach order. *)
 val emit : sink -> event -> unit
 
 val count : sink -> kind -> int
@@ -226,16 +234,15 @@ val events : sink -> event list
 (** Total events emitted, including overwritten ones. *)
 val total_events : sink -> int
 
-(** Events overwritten because the ring was full. *)
+(** Events counted in {!total_events} but no longer in the ring: those
+    overwritten because the ring was full, and those a {!merge_into}
+    brought in that were already gone from [src]'s ring or did not fit
+    in [into]'s. *)
 val dropped : sink -> int
 
 (** Limit checks observed between consecutive segment-register reloads —
     the paper's reload-rate metric as a distribution. *)
 val reload_interval : sink -> Histogram.t
-
-(** Register an inline invariant checker, run on every subsequent emit.
-    Checkers must not raise; record failures with {!violation}. *)
-val add_checker : sink -> name:string -> (event -> unit) -> unit
 
 (** Record an invariant violation against the named checker. *)
 val violation : sink -> checker:string -> string -> unit
@@ -271,10 +278,10 @@ val branch_bias_histogram : sink -> int array
     exactly;
     [src]'s surviving ring events and violations are appended after
     [into]'s in emission order, so merging per-job sinks in job order
-    is deterministic. [into]'s checkers and plugins are not run on
-    merged events (aggregation, not emission): a plugin present on
-    both sinks has [src]'s state folded in through its [p_merge], and
-    one present only on [src] moves across with its state. Both sinks
+    is deterministic. [into]'s plugins are not run on merged events
+    (aggregation, not emission): a plugin present on both sinks has
+    [src]'s state folded in through its [p_merge], and one present
+    only on [src] moves across with its state. Both sinks
     should be quiescent: reload-interval boundary state is not carried
     across the merge.
     A sink is single-domain — emit into per-job sinks and merge after

@@ -3,14 +3,15 @@
    Three layers of coverage:
 
    - sink mechanics: per-kind counters, the bounded ring (overwrite +
-     drop accounting), the reload-interval histogram, checkers and the
-     violation log, JSON export well-formedness;
+     drop accounting, also across a merge), the reload-interval
+     histogram, plugins and the violation log, JSON export
+     well-formedness, and the traced path's allocation budget;
    - fault paths: hand-assembled programs that trigger each fault class
      (#GP limit violation, #SS stack fault, #PF page fault, #BR bound
      range, #NP not-present descriptor) and must emit EXACTLY ONE fault
      event, carrying the right payload (faulting linear address for #PF,
      faulting selector for #NP);
-   - the Checkbochs-style use case: an inline checker attached to a full
+   - the Checkbochs-style use case: a plugin attached to a full
      compiled run, asserting a whole-execution invariant ("under Cash,
      a failed limit check is always the last check of the run"). *)
 
@@ -52,7 +53,28 @@ let test_ring () =
       (Trace.events s)
   in
   (* oldest two overwritten; survivors oldest-first *)
-  Alcotest.(check (list int)) "ring keeps newest, ordered" [ 3; 4; 5; 6 ] pages
+  Alcotest.(check (list int)) "ring keeps newest, ordered" [ 3; 4; 5; 6 ] pages;
+  (* Merging a 4-slot sink that saw 10 events into a 16-slot one brings
+     10 events into the total but only the 4 the source still held into
+     the ring: the other 6 count as dropped. *)
+  let src = Trace.create ~capacity:4 () in
+  for page = 1 to 10 do
+    Trace.emit src (Trace.Tlb_miss { page; evicted = false })
+  done;
+  let into = Trace.create ~capacity:16 () in
+  Trace.merge_into ~into src;
+  Alcotest.(check int) "merged total" 10 (Trace.total_events into);
+  Alcotest.(check int) "merged dropped" 6 (Trace.dropped into);
+  Alcotest.(check (list int))
+    "merged ring holds the source's survivors" [ 7; 8; 9; 10 ]
+    (List.map
+       (function Trace.Tlb_miss { page; _ } -> page | _ -> -1)
+       (Trace.events into));
+  Alcotest.(check (option int))
+    "JSON events_dropped" (Some 6)
+    (Option.bind
+       (Trace.Json.member "events_dropped" (Trace.to_json into))
+       Trace.Json.to_int_opt)
 
 let test_histogram () =
   let h = Trace.Histogram.create () in
@@ -84,14 +106,31 @@ let test_reload_interval () =
     "intervals" [ (0, 1); (2, 1) ]
     (Trace.Histogram.buckets (Trace.reload_interval s))
 
+(* A plugin with no report and no end-of-run pass: [on_event] over a
+   state built by [init]. *)
+type Trace.plugin_state += No_state
+
+let plugin_of ~name ?(init = fun () -> No_state) on_event :
+    Trace.Plugin.spec =
+  {
+    p_name = name;
+    p_doc = "test: " ^ name;
+    p_init = init;
+    p_on_event = on_event;
+    p_at_finish = (fun _ _ -> ());
+    p_merge = (fun ~into:_ _ -> ());
+    p_to_json = (fun _ -> Trace.Json.Null);
+  }
+
 let test_checkers () =
   let s = Trace.create () in
-  Trace.add_checker s ~name:"no-null-selector" (fun ev ->
-      match ev with
-      | Trace.Segreg_load { reg; selector = 0 } ->
-        Trace.violation s ~checker:"no-null-selector"
-          (Printf.sprintf "null selector loaded into %s" reg)
-      | _ -> ());
+  Trace.attach s
+    (plugin_of ~name:"no-null-selector" (fun sink _ ev ->
+         match ev with
+         | Trace.Segreg_load { reg; selector = 0 } ->
+           Trace.violation sink ~checker:"no-null-selector"
+             (Printf.sprintf "null selector loaded into %s" reg)
+         | _ -> ()));
   Trace.emit s (Trace.Segreg_load { reg = "GS"; selector = 0xC });
   Alcotest.(check (list (pair string string))) "clean" [] (Trace.violations s);
   Trace.emit s (Trace.Segreg_load { reg = "FS"; selector = 0 });
@@ -350,20 +389,27 @@ let test_context_switch_events () =
 
 (* --- the Checkbochs-style use case --------------------------------------- *)
 
-(* Attach an invariant checker to a whole compiled run: once a limit
+(* Attach an invariant plugin to a whole compiled run: once a limit
    check fails, the machine must fault — no further limit checks may
    execute. Runs traced over both a clean and an overrunning program. *)
+type Trace.plugin_state += Failed of bool ref
+
 let test_checker_on_run () =
+  let fail_is_final =
+    plugin_of ~name:"fail-is-final"
+      ~init:(fun () -> Failed (ref false))
+      (fun sink st ev ->
+        match (st, ev) with
+        | Failed failed, Trace.Limit_check { ok = false; _ } -> failed := true
+        | Failed failed, Trace.Limit_check { ok = true; seg; _ } when !failed
+          ->
+          Trace.violation sink ~checker:"fail-is-final"
+            (Printf.sprintf "limit check through %s after a failed check" seg)
+        | _ -> ())
+  in
   let make_sink () =
     let s = Trace.create () in
-    let failed = ref false in
-    Trace.add_checker s ~name:"fail-is-final" (fun ev ->
-        match ev with
-        | Trace.Limit_check { ok = false; _ } -> failed := true
-        | Trace.Limit_check { ok = true; seg; _ } when !failed ->
-          Trace.violation s ~checker:"fail-is-final"
-            (Printf.sprintf "limit check through %s after a failed check" seg)
-        | _ -> ());
+    Trace.attach s fail_is_final;
     s
   in
   let s1 = make_sink () in
@@ -613,6 +659,96 @@ let test_shipped_plugins_fire () =
   expect_violation "fault_consistency" Checkers.Fault_consistency.spec
     [ failed_check ] ~finish:true
 
+(* fault_consistency keeps its own per-kind book; its report lists
+   exactly the kinds it saw, sorted by name, with exact counts — the
+   same view as the sink's counters, including the evict an evicting
+   miss adds — on one sink and again after merging two. *)
+let test_fault_consistency_report () =
+  let stream =
+    [ Trace.Segreg_load { reg = "GS"; selector = 0xC };
+      Trace.Limit_check
+        { seg = "GS"; base = 0x1000; offset = 0; size = 4; write = false;
+          ok = true };
+      Trace.Tlb_hit;
+      Trace.Tlb_miss { page = 3; evicted = false };
+      Trace.Tlb_miss { page = 7; evicted = true };
+      Trace.Tlb_hit;
+      Trace.Limit_check
+        { seg = "GS"; base = 0x1000; offset = 64; size = 4; write = true;
+          ok = false };
+      Trace.Fault
+        { cls = `Gp; detail = "#GP"; address = None; selector = None } ]
+  in
+  let fed () =
+    let s = Trace.create () in
+    Trace.attach s Checkers.Fault_consistency.spec;
+    List.iter (Trace.emit s) stream;
+    s
+  in
+  let report sink =
+    match
+      Option.bind
+        (List.assoc_opt "fault_consistency" (Trace.plugin_json sink))
+        (Trace.Json.member "events_seen")
+    with
+    | Some (Trace.Json.Obj kvs) ->
+      List.map
+        (fun (k, v) -> (k, Option.value ~default:(-1) (Trace.Json.to_int_opt v)))
+        kvs
+    | _ -> Alcotest.fail "no events_seen report"
+  in
+  let expected n =
+    List.map
+      (fun (k, c) -> (k, n * c))
+      [ ("fault.gp", 1); ("limit_check.fail", 1); ("limit_check.pass", 1);
+        ("segreg.load", 1); ("tlb.evict", 1); ("tlb.hit", 2);
+        ("tlb.miss", 2) ]
+  in
+  let one = fed () in
+  Alcotest.(check (list (pair string int))) "one sink" (expected 1) (report one);
+  Alcotest.(check (list (pair string int)))
+    "matches the sink's counters" (Trace.counters one) (report one);
+  let merged = fed () in
+  Trace.merge_into ~into:merged (fed ());
+  Alcotest.(check (list (pair string int)))
+    "after merge_into" (expected 2) (report merged);
+  Trace.finish_plugins one;
+  Trace.finish_plugins merged;
+  Alcotest.(check (list (pair string string)))
+    "books agree with the counters" []
+    (Trace.violations one @ Trace.violations merged)
+
+(* The traced path's allocation budget with every shipped plugin
+   attached: the ring, the dispatch and the plugins allocate nothing,
+   so a [Tlb_hit] emit costs no minor words and a [Limit_check] emit
+   only its 7-word record, built per emit as at a real emitting site.
+   The runtime counts minor words exactly, so the budget holds on any
+   host. *)
+let test_emit_allocation () =
+  let n = 100_000 in
+  let words_per_event emit_one =
+    let s = Trace.create () in
+    Checkers.attach_shipped s;
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      emit_one s i
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let hit = words_per_event (fun s _ -> Trace.emit s Trace.Tlb_hit) in
+  let check =
+    words_per_event (fun s i ->
+        Trace.emit s
+          (Trace.Limit_check
+             { seg = "DS"; base = 0x1000; offset = i land 0xFF; size = 4;
+               write = false; ok = true }))
+  in
+  if hit >= 1.0 then
+    Alcotest.failf "Tlb_hit emit: %.2f minor words/event, budget < 1" hit;
+  if check >= 8.0 then
+    Alcotest.failf "Limit_check emit: %.2f minor words/event, budget < 8"
+      check
+
 (* Plugin reports ride the sink's JSON export under "plugins". *)
 let test_plugin_json_export () =
   let s = Trace.create () in
@@ -741,6 +877,10 @@ let suite =
       test_shipped_plugins_fire;
     Alcotest.test_case "plugin: reports in JSON export" `Quick
       test_plugin_json_export;
+    Alcotest.test_case "plugin: fault_consistency report" `Quick
+      test_fault_consistency_report;
+    Alcotest.test_case "sink: emit allocation budget" `Quick
+      test_emit_allocation;
     Alcotest.test_case "json: parse roundtrips writer" `Quick
       test_json_parse_roundtrip;
     Alcotest.test_case "json: parse BENCH record" `Quick test_json_parse_record;
