@@ -145,6 +145,22 @@ let test_ablation_monotone () =
       | _ -> Alcotest.fail "bad row shape")
     t.Harness.Report.rows
 
+(* The quick five-scheme matrix at one job: its rendered table and
+   per-scheme totals are pinned by digest (see golden.ml). *)
+let test_matrix_golden () =
+  let report, totals = Harness.Matrix.run ~quick:true ~jobs:1 () in
+  Golden.check "matrix"
+    [
+      ("report", Format.asprintf "%a" Harness.Report.pp report);
+      ( "totals",
+        String.concat "\n"
+          (List.map
+             (fun (t : Harness.Matrix.totals) ->
+               Printf.sprintf "%s %d %h" t.Harness.Matrix.t_scheme
+                 t.Harness.Matrix.t_cycles t.Harness.Matrix.t_overhead_pct)
+             totals) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "report formatting" `Quick test_report_formatting;
@@ -158,4 +174,5 @@ let suite =
     Alcotest.test_case "figure2 expectations" `Slow test_figure2_expectations_met;
     Alcotest.test_case "microcost anchors" `Slow test_microcosts_anchors;
     Alcotest.test_case "ablation monotone" `Slow test_ablation_monotone;
+    Alcotest.test_case "quick matrix golden digests" `Slow test_matrix_golden;
   ]
