@@ -26,7 +26,7 @@ let engine_conv =
       ("reference", Machine.Cpu.Reference) ]
 
 let engine =
-  Arg.(value & opt engine_conv Machine.Cpu.Block &
+  Arg.(value & opt engine_conv Machine.Cpu.default_engine &
        info [ "engine" ]
          ~doc:"Default CPU engine for requests that don't name one: \
                block, predecode, reference. Results are \

@@ -197,7 +197,7 @@ let current_trace () = Domain.DLS.get default_trace
    choice (the parallel harness spawns fresh domains, which would reset
    a DLS key to its default), and it is set once before any fan-out. *)
 let default_engine_cell : Machine.Cpu.engine Atomic.t =
-  Atomic.make Machine.Cpu.Predecoded
+  Atomic.make Machine.Cpu.default_engine
 
 let set_default_engine e = Atomic.set default_engine_cell e
 let default_engine () = Atomic.get default_engine_cell

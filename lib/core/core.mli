@@ -183,8 +183,8 @@ val current_trace : unit -> Trace.sink option
     [?engine] — how [--engine=block|predecode|reference] on the bench
     and experiment CLIs reaches the [run] calls buried inside the table
     modules. Process-wide (atomic, visible to every harness worker
-    domain); set it once, before fanning out. Default
-    {!Machine.Cpu.Predecoded}. *)
+    domain); set it once, before fanning out. Initially
+    {!Machine.Cpu.default_engine}. *)
 val set_default_engine : Machine.Cpu.engine -> unit
 
 val default_engine : unit -> Machine.Cpu.engine

@@ -18,7 +18,7 @@
 
    Three execution engines share this module:
 
-   - [Predecoded] (the default) runs over the link-time lowered form:
+   - [Predecoded] runs over the link-time lowered form:
      branch targets come from [Program.targets], per-site cycle costs from
      a table built at CPU creation, stat counters from pre-interned refs,
      and [exec] returns the next EIP instead of raising an exception on
@@ -35,7 +35,8 @@
      exact faulting instruction with registers, counters, and EIP
      identical to the per-instruction engines (the closures share the
      single set of [eff_*] operand-effect helpers, so there is nothing
-     to diverge).
+     to diverge). It is the default ([default_engine]); traced runs step
+     per instruction, exactly as [Predecoded] does.
    - [Reference] is the pre-lowering interpreter kept verbatim: hashtable
      label resolution per branch, a [Cost_model.cost] match per executed
      instruction, string-keyed stat bumps, and an exception per control
@@ -49,6 +50,8 @@ type status =
   | Faulted of Seghw.Fault.t
 
 type engine = Predecoded | Block | Reference
+
+let default_engine = Block
 
 type t = {
   regs : Registers.t;
@@ -127,12 +130,6 @@ type t = {
                                    direction without instrumenting the
                                    compiled closures *)
   chain_jcc_site : int array;   (* per block: that Jcc's code index *)
-  (* Traced closure set: per-instruction [exec] wrappers that bump the
-     per-site retire counter inline, dispatched per block so traced
-     runs stop stepping per instruction. Compiled lazily by the first
-     traced [Block] run. *)
-  mutable tblocks : (t -> int) array array;
-  mutable tblocks_ready : bool;
   (* Sub-instruction cursor of the fused chain op in flight: a fused
      closure stores [m] here before running its [m]th constituent, and
      the chain dispatch loop zeroes it before every op, so the unwind
@@ -214,7 +211,7 @@ let chains_built () = Atomic.get chains_built_total
 let chain_blocks_linked () = Atomic.get chain_blocks_total
 let chain_insns_linked () = Atomic.get chain_insns_total
 
-let create ?(engine = Predecoded) ?chain ~mmu ~phys ~costs ~program () =
+let create ?(engine = default_engine) ?chain ~mmu ~phys ~costs ~program () =
   let code = program.Program.code in
   let stat_counters = Hashtbl.create 31 in
   (* Pre-intern one counter ref per stat label; every other site shares a
@@ -323,8 +320,6 @@ let create ?(engine = Predecoded) ?chain ~mmu ~phys ~costs ~program () =
       (if chain_enabled then Array.make (Array.length code) 0 else [||]);
     chain_jcc_tgt;
     chain_jcc_site;
-    tblocks = [||];
-    tblocks_ready = false;
     fuse_sub = 0;
   }
 
@@ -361,17 +356,6 @@ let chain_count t =
   Array.fold_left
     (fun acc c -> match c with Some _ -> acc + 1 | None -> acc)
     0 t.chains
-
-(* Per-site Jcc direction counts with at least one observation:
-   [(site, taken, fall_through)], ascending by site. *)
-let branch_bias t =
-  let acc = ref [] in
-  for i = Array.length t.jcc_taken - 1 downto 0 do
-    let tk = Array.unsafe_get t.jcc_taken i
-    and fl = Array.unsafe_get t.jcc_fall i in
-    if tk + fl > 0 then acc := (i, tk, fl) :: !acc
-  done;
-  !acc
 
 let eip t = t.eip
 
@@ -645,9 +629,8 @@ let[@inline] seg_slot (s : Seghw.Segreg.name) =
    ever execute in [run]'s untraced [Block] arm ([t.sink = None]) —
    directly or spliced into a chain — and [set_sink] sets [t.sink]
    and [mmu.trace] together, so [mmu.trace] is provably [None]
-   whenever one runs. The traced [Block] arm dispatches the separate
-   [tblocks] closure set, which goes through [exec] and therefore
-   [translate]'s live [mmu.trace]. *)
+   whenever one runs. A traced [Block] CPU steps through [exec], and
+   therefore [translate]'s live [mmu.trace]. *)
 let[@inline] translate_via t mmu sr k ~tr ~seg_name ~offset ~size ~write =
   mmu.Seghw.Mmu.limit_checks <- mmu.Seghw.Mmu.limit_checks + 1;
   let off = offset land 0xFFFFFFFF in
@@ -1908,11 +1891,11 @@ let compile_term code targets idx : t -> int =
    re-checks, warm-pool restores, the serve loop's request machines)
    binds the one shared set instead of recompiling; [blocks_bound_total]
    counts those rebinds, the build counters only real compiles. Chains
-   and traced closure sets stay per-CPU derived caches ([fuse_block]
-   captures the owning CPU's arrays on purpose). Compilation happens
-   under the lock — it is a few microseconds of closure allocation, and
-   holding the lock gives the strict at-most-once-per-program
-   guarantee the serve-scale tests pin.
+   stay per-CPU derived caches ([fuse_block] captures the owning CPU's
+   arrays on purpose). Compilation happens under the lock — it is a
+   few microseconds of closure allocation, and holding the lock gives
+   the strict at-most-once-per-program guarantee the serve-scale tests
+   pin.
 
    The table is an ephemeron keyed on the [Program.t] record: an entry
    lives exactly as long as its program does, and is swept by the GC
@@ -2489,54 +2472,6 @@ let build_chain t head =
       }
   end
 
-(* --- the traced closure set --------------------------------------------- *)
-
-(* The second closure set, for traced runs: each instruction closure is
-   [exec] itself — so every Limit_check / Tlb_hit / Tlb_miss /
-   Segreg_load event flows through [translate]'s live [mmu.trace]
-   exactly as the stepping engines emit it — wrapped with the per-site
-   retire bump the traced stepping loop does. Dispatched per block by
-   [run]'s traced [Block] arm, so steady-state traced execution stops
-   paying the fetch / status / fuel test per instruction. The bump
-   happens after [exec] returns, so a faulting instruction stays
-   unattributed, same as stepping. *)
-let compile_traced t idx : t -> int =
-  let i = Array.get t.code idx in
-  let prof = t.prof_hits in
-  match i with
-  | Insn.Jcc _ when t.chain_enabled ->
-    (* Keep feeding the branch-bias counters under trace, so a traced
-       warm-up informs later chaining like an untraced one. (A Jcc
-       whose target is its own fall-through counts as taken — the two
-       directions are indistinguishable by [exec]'s return value, and
-       identical in effect.) *)
-    let tgt = Array.get t.targets idx in
-    let tk = t.jcc_taken and fl = t.jcc_fall in
-    fun cpu ->
-      let next = exec cpu idx i in
-      if next = tgt then
-        Array.unsafe_set tk idx (Array.unsafe_get tk idx + 1)
-      else Array.unsafe_set fl idx (Array.unsafe_get fl idx + 1);
-      Array.unsafe_set prof idx (Array.unsafe_get prof idx + 1);
-      next
-  | _ ->
-    fun cpu ->
-      let next = exec cpu idx i in
-      Array.unsafe_set prof idx (Array.unsafe_get prof idx + 1);
-      next
-
-let build_tblocks t =
-  (* [set_sink] sized [prof_hits] before any traced run reaches here;
-     re-size defensively anyway since the closures capture the array. *)
-  if Array.length t.prof_hits <> Array.length t.code then
-    t.prof_hits <- Array.make (Array.length t.code) 0;
-  let nb = Array.length t.block_starts in
-  t.tblocks <-
-    Array.init nb (fun b ->
-        let start = t.block_starts.(b) in
-        Array.init t.block_lens.(b) (fun j -> compile_traced t (start + j)));
-  t.tblocks_ready <- true
-
 (* --- the reference engine (the equivalence oracle) --------------------- *)
 
 (* The pre-lowering interpreter, preserved verbatim: label hashtable
@@ -2925,10 +2860,13 @@ let run ?(fuel = 4_000_000_000) t =
                 else commit_partial t !bstart !j
               end);
              raise e)
-        | Predecoded, Some _ ->
-          (* The traced stepping variant: identical commits plus one
-             per-site retire count, the profiler's raw input.
-             [prof_hits] is sized to [code] by [set_sink]. *)
+        | (Predecoded | Block), Some _ ->
+          (* The traced stepping variant, for both fast engines:
+             identical commits plus one per-site retire count, the
+             profiler's raw input. [prof_hits] is sized to [code] by
+             [set_sink]. A traced [Block] CPU neither builds nor enters
+             superblocks or chains, and its per-segment fast path
+             emits the same events as the TLB probe it skips. *)
           let code = t.code in
           let cost_tab = t.cost_tab in
           let prof = t.prof_hits in
@@ -2944,86 +2882,6 @@ let run ?(fuel = 4_000_000_000) t =
             t.cycles <- t.cycles + Array.unsafe_get cost_tab eip;
             Array.unsafe_set prof eip (Array.unsafe_get prof eip + 1)
           done
-        | Block, Some _ ->
-          (* Traced superblock dispatch over the traced closure set:
-             each closure is [exec] + the per-site retire bump, so the
-             event stream, attribution, and fault behaviour are the
-             stepping loop's exactly — but fetch, status, and fuel are
-             tested once per block. Same fuel pre-check, mid-block
-             entry / straddle fallback, and partial-commit unwind as
-             the untraced arm. Chains are not used under trace: the
-             per-block commit already amortises dispatch, and the
-             traced oracles want the simplest exact structure. Branch
-             bias is still sampled (from the terminator's returned EIP,
-             like the untraced loop) so a traced run's sink exports the
-             observed per-site histogram; no chain is ever built or
-             entered here. *)
-          if not t.tblocks_ready then build_tblocks t;
-          let code = t.code in
-          let cost_tab = t.cost_tab in
-          let prof = t.prof_hits in
-          let limit = Array.length code in
-          let block_at = t.block_at in
-          let lens = t.block_lens in
-          let bcost = t.block_cost in
-          let tblocks = t.tblocks in
-          let chaining = t.chain_enabled in
-          let jcc_tgt = t.chain_jcc_tgt in
-          let jcc_site = t.chain_jcc_site in
-          let jtk = t.jcc_taken in
-          let jfl = t.jcc_fall in
-          let j = ref (-1) in
-          (try
-             while (match t.status with Running -> true | _ -> false) do
-               j := -1;
-               let eip = t.eip in
-               if eip < 0 || eip >= limit then
-                 Seghw.Fault.gp (Printf.sprintf "EIP %d outside code" eip);
-               let bid = Array.unsafe_get block_at eip in
-               if
-                 bid >= 0
-                 && t.insns_executed + Array.unsafe_get lens bid <= fuel
-               then begin
-                 let blk = Array.unsafe_get tblocks bid in
-                 let n1 = Array.length blk - 1 in
-                 j := 0;
-                 while !j < n1 do
-                   ignore ((Array.unsafe_get blk !j) t : int);
-                   incr j
-                 done;
-                 let next = (Array.unsafe_get blk n1) t in
-                 t.eip <- next;
-                 t.insns_executed <- t.insns_executed + n1 + 1;
-                 t.cycles <- t.cycles + Array.unsafe_get bcost bid;
-                 if chaining then begin
-                   let tgt = Array.unsafe_get jcc_tgt bid in
-                   if tgt <> min_int then begin
-                     let site = Array.unsafe_get jcc_site bid in
-                     if next = tgt then
-                       Array.unsafe_set jtk site
-                         (Array.unsafe_get jtk site + 1)
-                     else
-                       Array.unsafe_set jfl site
-                         (Array.unsafe_get jfl site + 1)
-                   end
-                 end
-               end
-               else begin
-                 if t.insns_executed >= fuel then raise Out_of_fuel;
-                 let next = exec t eip (Array.unsafe_get code eip) in
-                 t.eip <- next;
-                 t.insns_executed <- t.insns_executed + 1;
-                 t.cycles <- t.cycles + Array.unsafe_get cost_tab eip;
-                 Array.unsafe_set prof eip (Array.unsafe_get prof eip + 1)
-               end
-             done
-           with e ->
-             (* Completed closures bumped their own retire counts; the
-                architectural prefix commits here, EIP resting on the
-                faulting instruction, which stays unattributed — same
-                as stepping. *)
-             (if !j >= 0 then commit_partial t t.eip !j);
-             raise e)
         | Reference, _ ->
           while (match t.status with Running -> true | _ -> false) do
             if t.insns_executed >= fuel then raise Out_of_fuel;
@@ -3078,10 +2936,8 @@ let profile t =
            match compare cb ca with 0 -> String.compare na nb | n -> n)
   end
 
-(* Fold a finished traced run's attribution — and, under the block
-   engine with chaining, the per-site branch-bias counts that drive
-   chain layout — into its sink (called once per run by the facade;
-   [prof_hits] and the bias arrays are cumulative, so callers that
+(* Fold a finished traced run's attribution into its sink (called once
+   per run by the facade; [prof_hits] is cumulative, so callers that
    re-run a CPU must merge only once). *)
 let commit_profile t =
   match t.sink with
@@ -3090,8 +2946,4 @@ let commit_profile t =
     List.iter
       (fun (sym, insns, cycles) ->
         Trace.add_attribution s sym ~insns ~cycles)
-      (profile t);
-    List.iter
-      (fun (site, taken, fall) ->
-        Trace.add_branch_bias s ~site ~taken ~not_taken:fall)
-      (branch_bias t)
+      (profile t)

@@ -6,15 +6,16 @@
     counters: executing one bumps a named counter without consuming
     cycles — the harness's measurement channel.
 
-    Three engines implement the same semantics. {!Predecoded} (the
-    default) executes the link-time lowered program: pre-resolved branch
+    Three engines implement the same semantics. {!Predecoded}
+    executes the link-time lowered program: pre-resolved branch
     targets, a per-site cycle-cost table, pre-interned stat counters,
     and exception-free control flow. {!Block} additionally executes the
     linker's superblock partition — each maximal straight-line region is
     compiled once into operand-resolved closures and dispatched as a
     unit, with a per-segment TLB fast path — while staying
     fault-precise: a mid-block fault leaves EIP, counters, registers,
-    and trace events identical to per-instruction execution.
+    and trace events identical to per-instruction execution. It is the
+    default ({!default_engine}).
     {!Reference} is the original interpreter, kept as the oracle for the
     equivalence suite. All three produce bit-identical cycles,
     instruction counts, and machine state. *)
@@ -26,9 +27,13 @@ type status =
 
 (** Which interpreter executes the program. *)
 type engine =
-  | Predecoded  (** the lowered fast path (default) *)
-  | Block       (** superblock dispatch over the lowered fast path *)
+  | Predecoded  (** the lowered fast path *)
+  | Block       (** superblock dispatch over the lowered fast path
+                    (default) *)
   | Reference   (** the pre-lowering interpreter — the equivalence oracle *)
+
+(** The engine {!create} uses when none is given: {!Block}. *)
+val default_engine : engine
 
 type t
 
@@ -140,11 +145,6 @@ val chaining : t -> bool
     and re-derives). *)
 val chain_count : t -> int
 
-(** Per-site Jcc direction counts with at least one observation:
-    [(site, taken, fall_through)] ascending by site. Collected only
-    with chaining on; cumulative across runs of this CPU. *)
-val branch_bias : t -> (int * int * int) list
-
 (** Chains built / member blocks linked / instructions covered, summed
     across all CPUs and domains of this process — BENCH schema 5's
     ["chains_built"] / ["avg_chain_blocks"] / ["avg_chain_insns"]
@@ -160,11 +160,12 @@ val chain_insns_linked : unit -> int
     forwarded to [Seghw.Mmu.set_trace]) emit typed events: segment
     register loads, limit checks, TLB hits/misses/evictions, and
     exactly one [Fault] event per architectural fault caught by {!run}.
-    It also switches {!run} to a traced loop that counts per-site
-    retires for the cycle profiler. Tracing never changes simulated
-    semantics: cycles, stat counters, registers, and memory are
-    bit-identical with and without a sink (pinned by the oracle suite
-    in [test/test_predecode.ml]). *)
+    It also switches {!run} to the traced stepping loop, which executes
+    one instruction at a time under either fast engine (no superblocks
+    or chains) and counts per-site retires for the cycle profiler.
+    Tracing never changes simulated semantics: cycles, stat counters,
+    registers, and memory are bit-identical with and without a sink
+    (pinned by the oracle suite in [test/test_predecode.ml]). *)
 
 (** Attach or detach the event sink (detached by default). *)
 val set_sink : t -> Trace.sink option -> unit

@@ -20,8 +20,8 @@ val created_at : t -> int
 
 val terminated_at : t -> int
 
-(** [engine] selects the CPU interpreter ({!Machine.Cpu.Predecoded} by
-    default; {!Machine.Cpu.Reference} for the equivalence oracle);
+(** [engine] selects the CPU interpreter ({!Machine.Cpu.default_engine}
+    by default; {!Machine.Cpu.Reference} for the equivalence oracle);
     [chain] overrides the process-wide block-chaining default for this
     CPU (meaningful only under {!Machine.Cpu.Block}). *)
 val load : ?engine:Machine.Cpu.engine -> ?chain:bool -> kernel:Kernel.t ->

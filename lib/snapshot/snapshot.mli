@@ -60,7 +60,7 @@ val save :
     and overwrite its state with the image. The kernel uses the
     default cost model, as every harness experiment does.
     [engine] picks the CPU interpreter; it defaults to
-    [Machine.Cpu.Predecoded] and need not match the saving engine.
+    [Machine.Cpu.default_engine] and need not match the saving engine.
     @raise Error on truncated, corrupt, or mismatched images. *)
 val restore :
   ?engine:Machine.Cpu.engine -> program:Machine.Program.t -> bytes ->

@@ -447,10 +447,6 @@ type sink = {
   mutable checks_at_last_reload : int;
   (* (symbol -> insns, cycles), merged in by the profiler *)
   attribution : (string, int ref * int ref) Hashtbl.t;
-  (* (Jcc site -> taken, fall-through retires), merged in by the block
-     engine's chaining machinery — the statistics its chain-layout
-     decisions were made from, exported for offline inspection *)
-  branch_bias : (int, int ref * int ref) Hashtbl.t;
   (* instantiated plugins, in attach order; fed by [emit] *)
   mutable plugins : plugin_instance list;
 }
@@ -531,7 +527,6 @@ let create ?(capacity = 4096) () =
       reload_interval = Histogram.create ();
       checks_at_last_reload = 0;
       attribution = Hashtbl.create 31;
-      branch_bias = Hashtbl.create 31;
       plugins = [];
     }
   in
@@ -631,32 +626,6 @@ let attributions t =
   |> List.sort (fun (na, _, ca) (nb, _, cb) ->
          match compare cb ca with 0 -> String.compare na nb | n -> n)
 
-let add_branch_bias t ~site ~taken ~not_taken =
-  match Hashtbl.find_opt t.branch_bias site with
-  | Some (tk, fl) ->
-    tk := !tk + taken;
-    fl := !fl + not_taken
-  | None -> Hashtbl.add t.branch_bias site (ref taken, ref not_taken)
-
-let branch_bias t =
-  Hashtbl.fold (fun site (tk, fl) acc -> (site, !tk, !fl) :: acc) t.branch_bias []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-
-(* Ten-bucket histogram of per-site taken share: bucket [i] counts the
-   sites whose taken fraction lies in [i*10%, (i+1)*10%) — 100% lands
-   in the last bucket. A chainable site shows up at the edges. *)
-let branch_bias_histogram t =
-  let buckets = Array.make 10 0 in
-  Hashtbl.iter
-    (fun _ (tk, fl) ->
-      let total = !tk + !fl in
-      if total > 0 then begin
-        let b = min 9 (!tk * 10 / total) in
-        buckets.(b) <- buckets.(b) + 1
-      end)
-    t.branch_bias;
-  buckets
-
 (* Fold one finished sink into another, for aggregating the per-job
    sinks of a parallel run after the barrier. Counters, the
    reload-interval histogram, attribution, and the emitted-event totals
@@ -680,10 +649,6 @@ let merge_into ~into src =
   Hashtbl.iter
     (fun sym (i, c) -> add_attribution into sym ~insns:!i ~cycles:!c)
     src.attribution;
-  Hashtbl.iter
-    (fun site (tk, fl) ->
-      add_branch_bias into ~site ~taken:!tk ~not_taken:!fl)
-    src.branch_bias;
   (* Plugin states fold by name: a plugin present on both sides merges
      src's state into into's (aggregation — [into]'s plugins are NOT
      re-run on the merged events); a plugin only on [src] moves across
@@ -800,23 +765,6 @@ let to_json t : Json.t =
              (fun (lo, n) ->
                Json.Obj [ ("ge", Json.Int lo); ("count", Json.Int n) ])
              (Histogram.buckets t.reload_interval)) );
-      ( "branch_bias",
-        Json.List
-          (List.map
-             (fun (site, taken, fall) ->
-               Json.Obj
-                 [ ("site", Json.Int site); ("taken", Json.Int taken);
-                   ("fall_through", Json.Int fall) ])
-             (branch_bias t)) );
-      ( "branch_bias_histogram",
-        Json.List
-          (Array.to_list
-             (Array.mapi
-                (fun i n ->
-                  Json.Obj
-                    [ ("taken_pct_ge", Json.Int (i * 10));
-                      ("sites", Json.Int n) ])
-                (branch_bias_histogram t))) );
       ( "violations",
         Json.List
           (List.map

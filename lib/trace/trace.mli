@@ -258,24 +258,10 @@ val add_attribution : sink -> string -> insns:int -> cycles:int -> unit
     descending then name. *)
 val attributions : sink -> (string * int * int) list
 
-(** Per-site conditional-branch direction counts merged in by the block
-    engine's chaining machinery (see [Machine.Cpu.branch_bias]) — the
-    statistics chain-layout decisions were made from, exported through
-    {!to_json} for offline inspection. *)
-val add_branch_bias : sink -> site:int -> taken:int -> not_taken:int -> unit
-
-(** Accumulated bias, [(site, taken, fall_through)], ascending by site. *)
-val branch_bias : sink -> (int * int * int) list
-
-(** Ten deciles of per-site taken share: element [i] counts sites whose
-    taken fraction lies in [[i*10%, (i+1)*10%)], 100% in the last. *)
-val branch_bias_histogram : sink -> int array
-
 (** [merge_into ~into src] folds one finished sink into another — how
     the per-job sinks of a parallel run ([Parallel.run_jobs]) become
     one aggregate after the barrier. Counters, the reload-interval
-    histogram, attribution, branch bias, and emitted-event totals sum
-    exactly;
+    histogram, attribution, and emitted-event totals sum exactly;
     [src]'s surviving ring events and violations are appended after
     [into]'s in emission order, so merging per-job sinks in job order
     is deterministic. [into]'s plugins are not run on merged events

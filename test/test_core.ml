@@ -138,6 +138,22 @@ let test_shared_superblocks_bind () =
   Alcotest.(check string) "predecode agrees" r1.Core.output rp.Core.output;
   Alcotest.(check string) "reference agrees" r1.Core.output rr.Core.output
 
+(* With no [?engine], [Core.run] takes the ambient default, which
+   starts out as the superblock engine. *)
+let test_default_engine_is_block () =
+  Alcotest.(check string) "ambient default" "block"
+    (Core.engine_name (Core.default_engine ()));
+  let compiled =
+    Core.compile Core.gcc
+      "int main() { int i; int s = 0; for (i = 0; i < 10; i++) s = s + i; \
+       print_int(s); return 0; }"
+  in
+  let seen () = Machine.Cpu.blocks_built () + Machine.Cpu.blocks_bound () in
+  let before = seen () in
+  let r = Core.run compiled in
+  Alcotest.(check string) "ran" "45\n" r.Core.output;
+  Alcotest.(check bool) "superblocks built or bound" true (seen () > before)
+
 let suite =
   [
     Alcotest.test_case "backend names" `Quick test_backend_names;
@@ -153,4 +169,6 @@ let suite =
     Alcotest.test_case "compile cache" `Quick test_compile_cached;
     Alcotest.test_case "shared superblocks bind" `Quick
       test_shared_superblocks_bind;
+    Alcotest.test_case "default engine is block" `Quick
+      test_default_engine_is_block;
   ]

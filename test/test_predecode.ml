@@ -167,9 +167,11 @@ let check_run_identical name (a : Core.run) (b : Core.run) =
     (Machine.Cpu.stats (Osim.Process.cpu b.Core.process))
 
 let check_traced_equivalent name compiled =
-  let untraced = Core.run compiled in
+  let untraced = Core.run ~engine:Machine.Cpu.Predecoded compiled in
   let sink_fast = Trace.create () in
-  let fast = Core.run ~trace:sink_fast compiled in
+  let fast =
+    Core.run ~engine:Machine.Cpu.Predecoded ~trace:sink_fast compiled
+  in
   check_run_identical (name ^ "/traced-vs-untraced") untraced fast;
   let sink_blk = Trace.create () in
   let blk = Core.run ~engine:Machine.Cpu.Block ~trace:sink_blk compiled in

@@ -423,58 +423,6 @@ let test_checker_on_run () =
   Alcotest.(check bool) "overrun: sink saw the failure" true
     (Trace.count s2 Trace.K_limit_check_fail = 1)
 
-(* --- branch-bias histogram ----------------------------------------------- *)
-
-(* A traced run under the block engine samples every conditional
-   terminator's direction (the same counters the chain builder feeds
-   on — chains themselves are never built or entered under trace), and
-   the facade folds the per-site totals into the sink at finish. A
-   loopy program must therefore export a non-empty bias table whose
-   back-edge sites are heavily taken-biased, through both the accessor
-   and the JSON; an engine without the machinery exports nothing. *)
-let loopy_src =
-  "int a[64];\n\
-   int main() {\n\
-  \  int i; int k; int s;\n\
-  \  s = 0;\n\
-  \  for (k = 0; k < 40; k = k + 1)\n\
-  \    for (i = 0; i < 64; i = i + 1)\n\
-  \      s = s + a[i] + i;\n\
-  \  print_int(s);\n\
-  \  return 0;\n\
-   }\n"
-
-let test_branch_bias_export () =
-  let sink = Trace.create () in
-  let r =
-    Core.exec ~engine:Cpu.Block ~chain:true ~trace:sink Core.gcc loopy_src
-  in
-  Alcotest.(check bool) "finished" true (r.Core.status = Core.Finished);
-  let bias = Trace.branch_bias sink in
-  Alcotest.(check bool) "bias sites recorded" true (bias <> []);
-  Alcotest.(check bool) "the inner back-edge is heavily taken-biased" true
-    (List.exists
-       (fun (_, taken, fall) -> taken >= 1000 && taken > 16 * (fall + 1))
-       bias);
-  let hist = Trace.branch_bias_histogram sink in
-  Alcotest.(check bool) "histogram counts the sites" true
-    (Array.fold_left ( + ) 0 hist = List.length bias);
-  let js = Trace.Json.to_string (Trace.to_json sink) in
-  let has sub =
-    try ignore (Str.search_forward (Str.regexp_string sub) js 0); true
-    with Not_found -> false
-  in
-  Alcotest.(check bool) "json carries the raw sites" true
-    (has "\"branch_bias\":");
-  Alcotest.(check bool) "json carries the histogram" true
-    (has "\"branch_bias_histogram\":");
-  (* The reference interpreter has no terminators to sample: same
-     program, empty table. *)
-  let sink2 = Trace.create () in
-  ignore (Core.exec ~engine:Cpu.Reference ~trace:sink2 Core.gcc loopy_src);
-  Alcotest.(check (list (triple int int int)))
-    "reference run samples nothing" [] (Trace.branch_bias sink2)
-
 (* --- plugins ------------------------------------------------------------- *)
 
 (* A counting plugin: the state records how many events its on_event
@@ -862,8 +810,6 @@ let suite =
       test_context_switch_events;
     Alcotest.test_case "checker: fail-is-final invariant" `Quick
       test_checker_on_run;
-    Alcotest.test_case "branch-bias histogram exports" `Quick
-      test_branch_bias_export;
     Alcotest.test_case "plugin: feed + idempotent finish" `Quick
       test_plugin_feed_and_finish;
     Alcotest.test_case "plugin: merge folds states, never re-emits" `Quick
