@@ -47,22 +47,9 @@ let jobs =
 let batch =
   Arg.(value & opt int 256 &
        info [ "batch" ] ~docv:"N"
-         ~doc:"Requests dispatched per parallel batch. Also the machine \
-               reuse horizon above one job: worker pools are \
-               domain-local and domains live one batch.")
-
-let pool_capacity =
-  Arg.(value & opt int 1 &
-       info [ "pool-capacity" ] ~docv:"N"
-         ~doc:"Warm machines each worker pool builds before the pool \
-               policy applies.")
-
-let pool_policy =
-  Arg.(value & opt (enum [ ("grow", Serve.Pool.Grow); ("block", Serve.Pool.Block) ])
-         Serve.Pool.Grow &
-       info [ "pool-policy" ]
-         ~doc:"At capacity with every machine busy: $(b,grow) builds \
-               past capacity, $(b,block) waits for a release.")
+         ~doc:"Requests dispatched per parallel batch (responses are \
+               flushed per batch). Worker domains and their warm \
+               machine pools persist across batches.")
 
 let no_pool =
   Arg.(value & flag &
@@ -129,8 +116,8 @@ let serve_socket server path max_conns =
   Unix.close sock;
   (try Unix.unlink path with Unix.Unix_error _ -> ())
 
-let run engine no_chain jobs batch pool_capacity pool_policy no_pool no_warm
-    socket max_conns gen_requests =
+let run engine no_chain jobs batch no_pool no_warm socket max_conns
+    gen_requests =
   match gen_requests with
   | Some n ->
     List.iter print_endline
@@ -141,8 +128,8 @@ let run engine no_chain jobs batch pool_capacity pool_policy no_pool no_warm
     Core.set_default_engine engine;
     let warms = if no_warm then [] else Serve.Server.table8_warms ?jobs () in
     let server =
-      Serve.Server.create ?jobs ~batch ~pool_capacity ~policy:pool_policy
-        ~pooled:(not no_pool) ~engine ~warms ()
+      Serve.Server.create ?jobs ~batch ~pooled:(not no_pool) ~engine ~warms
+        ()
     in
     (match socket with
      | Some path -> serve_socket server path max_conns
@@ -160,8 +147,7 @@ let run engine no_chain jobs batch pool_capacity pool_policy no_pool no_warm
 let cmd =
   let doc = "warm-pool request server for the simulated segmented x86" in
   Cmd.v (Cmd.info "cashd" ~doc)
-    Term.(const run $ engine $ no_chain $ jobs $ batch $ pool_capacity
-          $ pool_policy $ no_pool $ no_warm $ socket $ max_conns
-          $ gen_requests)
+    Term.(const run $ engine $ no_chain $ jobs $ batch $ no_pool $ no_warm
+          $ socket $ max_conns $ gen_requests)
 
 let () = exit (Cmd.eval' cmd)

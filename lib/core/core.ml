@@ -89,9 +89,14 @@ let compile backend source =
    [Backend.name] is NOT sufficient: cash_default and
    cash_security_only both render as "cash3" and would alias. Failures
    are never cached (the exception propagates and the next caller
-   retries). The table is capacity-bounded and cleared on overflow: a
-   long-lived server fed unbounded distinct sources must not retain
-   every program ever compiled. The bound is deliberately SMALL — each
+   retries). The table is capacity-bounded and evicts its least
+   recently used entry on overflow: a long-lived server fed unbounded
+   distinct sources must not retain every program ever compiled, and a
+   hot set smaller than the capacity survives any stream of one-shot
+   sources with its program identity intact (so the server's per-worker
+   machine pools, keyed on that identity, keep hitting). Finding the
+   victim scans the table, a handful of entries. The bound is
+   deliberately SMALL — each
    retained [compiled] pins its program and, through the block engine's
    ephemeron superblock cache, that program's compiled closure set.
    On the fuzzing fleet (6000 distinct compiles per 2000-seed sweep,
@@ -105,8 +110,17 @@ let compile backend source =
    concurrent fleet workers never serialise their compiles; when two
    domains race the same key, the first store wins and the loser adopts
    the winner's value (keeping program identity process-unique). *)
-let compile_cache : (string, compiled) Hashtbl.t = Hashtbl.create 16
+type cache_entry = { c_compiled : compiled; mutable c_used : int }
+
+(* The table and its use clock are guarded by [compile_cache_lock]. *)
+let compile_cache : (string, cache_entry) Hashtbl.t = Hashtbl.create 16
+let compile_cache_clock = ref 0
 let compile_cache_lock = Mutex.create ()
+
+let touch e =
+  incr compile_cache_clock;
+  e.c_used <- !compile_cache_clock;
+  e.c_compiled
 
 let compile_cache_capacity =
   match Sys.getenv_opt "CASH_COMPILE_CACHE_CAP" with
@@ -138,7 +152,7 @@ let compile_cached backend source =
   let key = compile_key backend source in
   let cached =
     Mutex.protect compile_cache_lock (fun () ->
-        Hashtbl.find_opt compile_cache key)
+        Option.map touch (Hashtbl.find_opt compile_cache key))
   in
   match cached with
   | Some r ->
@@ -149,12 +163,23 @@ let compile_cached backend source =
     Atomic.incr compile_cache_misses;
     Mutex.protect compile_cache_lock (fun () ->
         match Hashtbl.find_opt compile_cache key with
-        | Some r' -> r'  (* another domain compiled it first; adopt theirs *)
+        | Some e ->
+          touch e (* another domain compiled it first; adopt theirs *)
         | None ->
-          if Hashtbl.length compile_cache >= compile_cache_capacity then
-            Hashtbl.reset compile_cache;
-          Hashtbl.add compile_cache key r;
-          r)
+          if Hashtbl.length compile_cache >= compile_cache_capacity then begin
+            let lru =
+              Hashtbl.fold
+                (fun k e acc ->
+                  match acc with
+                  | Some (_, used) when used <= e.c_used -> acc
+                  | _ -> Some (k, e.c_used))
+                compile_cache None
+            in
+            Option.iter (fun (k, _) -> Hashtbl.remove compile_cache k) lru
+          end;
+          let e = { c_compiled = r; c_used = 0 } in
+          Hashtbl.add compile_cache key e;
+          touch e)
 
 type status =
   | Finished                      (* ran to the final HLT *)

@@ -59,9 +59,15 @@ val compile : backend -> string -> compiled
     Returning the {e same} [compiled] value also shares its program
     identity, so the block engine's shared superblock cache binds
     instead of recompiling. Compilation errors propagate and are never
-    cached; the table is capacity-bounded (cleared wholesale on
-    overflow). Safe from any domain. *)
+    cached; the table holds at most {!compile_cache_capacity} programs
+    and evicts the least recently used one on overflow, so a hot set
+    smaller than that keeps its identity however many one-shot sources
+    pass through. Safe from any domain. *)
 val compile_cached : backend -> string -> compiled
+
+(** How many programs {!compile_cached} retains: 8, or the
+    [CASH_COMPILE_CACHE_CAP] environment variable read at start-up. *)
+val compile_cache_capacity : int
 
 (** [(hits, misses)] of {!compile_cached} since process start. *)
 val compile_cache_stats : unit -> int * int

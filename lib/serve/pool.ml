@@ -90,6 +90,16 @@ let discard t _s =
   Condition.signal t.nonempty;
   Mutex.unlock t.mutex
 
+(* Hand every idle machine back to the caller, which now owns it (the
+   server returns their memory when it evicts the pool). *)
+let drain t =
+  Mutex.lock t.mutex;
+  let free = t.free in
+  t.free <- [];
+  t.built <- t.built - List.length free;
+  Mutex.unlock t.mutex;
+  free
+
 let with_machine t f =
   let s = acquire t in
   match f s with

@@ -36,6 +36,11 @@ val release : t -> Core.state -> unit
     construct a replacement. *)
 val discard : t -> Core.state -> unit
 
+(** Take every idle machine out of the pool and return it; the build
+    count shrinks by as many. The caller owns the machines — the server
+    returns their physical memory when it evicts the pool. *)
+val drain : t -> Core.state list
+
 (** [with_machine t f] = acquire, run [f], release — or {!discard} if
     [f] raises. *)
 val with_machine : t -> (Core.state -> 'a) -> 'a

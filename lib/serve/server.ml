@@ -19,11 +19,11 @@
    [bench --serve].
 
    Worker state lives in [Domain.DLS], so pools are per-domain and
-   never contend. [Parallel.run_jobs] spawns fresh domains per call,
-   which would discard the pools every batch — the [batch] size
-   (default 256) amortises the machine builds within a batch, and at
-   [jobs = 1] the tasks run in the calling domain, so its pools
-   persist across batches. *)
+   never contend. [Parallel.run_jobs]'s helper domains persist between
+   calls, and at [jobs = 1] the tasks run in the calling domain, so
+   either way a worker's pools survive from one batch to the next. A
+   least-recently-used bound on each worker's table (see
+   [worker_entry]) keeps that memory fixed. *)
 
 type warm = {
   w_name : string;  (* the [replay] request's [snapshot] field *)
@@ -56,20 +56,18 @@ let table8_names () =
   List.map (fun (_, _, label) -> label) (Harness.Table8.split_pairs ())
 
 type t = {
-  sv_id : int;  (* keys this server's pools in the shared DLS table *)
+  sv_id : int;  (* keys this server's entries in the shared DLS table *)
   warms : warm list;
   jobs : int option;
   batch : int;
-  pool_capacity : int;
-  policy : Pool.policy;
   pooled : bool;
   engine : Machine.Cpu.engine;
+  capacity : int;  (* per-worker warm entries; see [worker_entry] *)
 }
 
 let next_id = Atomic.make 0
 
-let create ?jobs ?(batch = 256) ?(pool_capacity = 1) ?(policy = Pool.Grow)
-    ?(pooled = true) ?engine ?(warms = []) () =
+let create ?jobs ?(batch = 256) ?(pooled = true) ?engine ?(warms = []) () =
   if batch < 1 then invalid_arg "Server.create: batch < 1";
   let engine =
     match engine with Some e -> e | None -> Core.default_engine ()
@@ -79,68 +77,107 @@ let create ?jobs ?(batch = 256) ?(pool_capacity = 1) ?(policy = Pool.Grow)
     warms;
     jobs;
     batch;
-    pool_capacity;
-    policy;
     pooled;
     engine;
+    capacity = List.length warms + Core.compile_cache_capacity;
   }
 
 (* --- per-worker state ----------------------------------------------------- *)
 
-(* Machine pools, one per (server, program, engine) triple. Domain-local:
-   each worker grows its own and they never contend. *)
-let pools_key : (string, Pool.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+(* One warm entry per (server, request key, engine) triple: a machine
+   pool and the image its requests restore. A replay entry shares its
+   warm's image; a compile-and-run entry holds the program's pristine
+   start image, built once per worker by running the loader.
 
-(* Compilation itself goes through the process-wide
+   Compilation itself goes through the process-wide
    [Core.compile_cached] — every distinct (backend, source) compiles
    once per process, not once per worker domain, and repeat requests
    get the *same* [Core.compiled] value, so the block engine binds the
-   shared superblock set instead of recompiling. What stays per-domain
-   is the pristine start image, memoised by program identity
-   ([Program.uid] — exact even where two backend configurations render
-   the same [Core.backend_name]): building it runs the loader, which is
-   cheap but not free, and keying the memo on the uid the shared cache
-   hands out keeps it consistent with the machine pools below. *)
-let image_cache_key : (int, bytes) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+   shared superblock set instead of recompiling. A compile-and-run key
+   embeds that program's identity ([Program.uid] — exact even where two
+   backend configurations render the same [Core.backend_name]). *)
+type entry = { pool : Pool.t; image : bytes; mutable used : int }
 
-let worker_pool t ~key ~engine compiled =
-  let pools = Domain.DLS.get pools_key in
+type table = {
+  entries : (string, entry) Hashtbl.t;
+  mutable clock : int;  (* stamps [used] *)
+}
+
+(* Domain-local, shared by every server in the process: each worker
+   grows its own table and the tables never contend. Each worker
+   domain serves one request at a time, so every machine in its table
+   is idle whenever it looks an entry up. *)
+let table_key : table Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { entries = Hashtbl.create 32; clock = 0 })
+
+let release_machine s =
+  Machine.Phys_mem.release (Osim.Process.phys (Core.state_process s))
+
+(* The image behind a compile-and-run entry; the machine that produced
+   it is thrown away at once, so its memory goes back to this domain's
+   free list instead of the major heap. *)
+let start_image compiled =
+  let s = Core.start compiled in
+  let image = Buffer.to_bytes (Core.save s) in
+  release_machine s;
+  image
+
+(* The table holds at most [t.capacity] entries and evicts the least
+   recently used one, returning its machines' memory. Why this bound:
+   there are [List.length warms] replay keys, and a compile-and-run key
+   can only be hit again while its program is still in the compile
+   cache — a program that leaves it is recompiled under a new uid. So a
+   worker retains a fixed amount of memory however many distinct
+   programs it serves. *)
+let worker_entry t ~key ~engine compiled image =
+  let table = Domain.DLS.get table_key in
   let k = Printf.sprintf "%d\x00%s\x00%s" t.sv_id key (Core.engine_name engine) in
-  match Hashtbl.find_opt pools k with
-  | Some p -> p
-  | None ->
-    let p =
-      Pool.create ~capacity:t.pool_capacity ~policy:t.policy ~engine compiled
-    in
-    Hashtbl.add pools k p;
-    p
+  let e =
+    match Hashtbl.find_opt table.entries k with
+    | Some e -> e
+    | None ->
+      if Hashtbl.length table.entries >= t.capacity then begin
+        let oldest =
+          Hashtbl.fold
+            (fun k' e' acc ->
+              match acc with
+              | Some (_, o) when o.used <= e'.used -> acc
+              | _ -> Some (k', e'))
+            table.entries None
+        in
+        Option.iter
+          (fun (k', e') ->
+            Hashtbl.remove table.entries k';
+            List.iter release_machine (Pool.drain e'.pool))
+          oldest
+      end;
+      let image =
+        match image with Some image -> image | None -> start_image compiled
+      in
+      let e = { pool = Pool.create ~engine compiled; image; used = 0 } in
+      Hashtbl.add table.entries k e;
+      e
+  in
+  table.clock <- table.clock + 1;
+  e.used <- table.clock;
+  e
 
 (* --- one request ---------------------------------------------------------- *)
 
-(* Resolve a request to (pool key, program, image to restore). *)
+(* Resolve a request to (table key, program, its image if already
+   known). *)
 let resolve t (rq : Protocol.request) =
   match rq.Protocol.rq_spec with
   | Protocol.Replay { snapshot } -> (
     match List.find_opt (fun w -> w.w_name = snapshot) t.warms with
-    | Some w -> Ok ("replay:" ^ snapshot, w.w_compiled, w.w_image)
+    | Some w -> Ok ("replay:" ^ snapshot, w.w_compiled, Some w.w_image)
     | None -> Error (Printf.sprintf "unknown snapshot %S" snapshot))
   | Protocol.Compile_and_run { backend; source } -> (
     match Core.compile_cached backend source with
     | exception e -> Error ("compile error: " ^ Printexc.to_string e)
     | compiled ->
       let uid = compiled.Compilers.Codegen.program.Machine.Program.uid in
-      let images = Domain.DLS.get image_cache_key in
-      let image =
-        match Hashtbl.find_opt images uid with
-        | Some image -> image
-        | None ->
-          let image = Buffer.to_bytes (Core.save (Core.start compiled)) in
-          Hashtbl.add images uid image;
-          image
-      in
-      Ok (Printf.sprintf "src:%d" uid, compiled, image))
+      Ok (Printf.sprintf "src:%d" uid, compiled, None))
 
 let run_request t (rq : Protocol.request) =
   let t0 = Unix.gettimeofday () in
@@ -152,11 +189,11 @@ let run_request t (rq : Protocol.request) =
       match rq.Protocol.rq_engine with Some e -> e | None -> t.engine
     in
     match
+      let e = worker_entry t ~key ~engine compiled image in
       if t.pooled then
-        let pool = worker_pool t ~key ~engine compiled in
-        Pool.with_machine pool (fun s ->
-            Core.finish (Core.restore_into s image))
-      else Core.finish (Core.restore ~engine compiled image)
+        Pool.with_machine e.pool (fun s ->
+            Core.finish (Core.restore_into s e.image))
+      else Core.finish (Core.restore ~engine compiled e.image)
     with
     | run -> Protocol.of_run ~id:rq.Protocol.rq_id ~latency_us:(latency_us ()) run
     | exception e ->

@@ -26,19 +26,21 @@ type t
 (** [create ()] — a server. [warms] (default empty) is the replay
     target set; [jobs] caps worker domains (default
     [Parallel.default_jobs]); [batch] (default 256) is how many
-    requests are in flight per dispatch — also the reuse horizon, since
-    worker pools live in domain-local storage and
-    [Parallel.run_jobs] spawns fresh domains per call (at [jobs = 1]
-    the calling domain serves everything and its pools persist);
-    [pool_capacity]/[policy] (default 1/[Grow]) configure each worker
-    pool; [pooled = false] serves every request through a fresh
-    [Core.restore] instead — the A/B baseline leg; [engine] is the
-    default CPU engine for requests that don't name one (default: the
-    ambient {!Core.default_engine}).
+    requests are in flight per dispatch; [pooled = false] serves every
+    request through a fresh [Core.restore] instead — the A/B baseline
+    leg; [engine] is the default CPU engine for requests that don't
+    name one (default: the ambient {!Core.default_engine}).
+
+    Each worker domain keeps, in domain-local storage that outlives
+    batches ([Parallel]'s helpers persist), one {!Pool} and image per
+    (server, request key, engine). That table holds at most
+    [List.length warms + Core.compile_cache_capacity] entries and
+    evicts the least recently used, so a worker's retained memory is
+    bounded however many distinct programs it serves.
     @raise Invalid_argument when [batch < 1]. *)
 val create :
-  ?jobs:int -> ?batch:int -> ?pool_capacity:int -> ?policy:Pool.policy ->
-  ?pooled:bool -> ?engine:Machine.Cpu.engine -> ?warms:warm list -> unit -> t
+  ?jobs:int -> ?batch:int -> ?pooled:bool -> ?engine:Machine.Cpu.engine ->
+  ?warms:warm list -> unit -> t
 
 (** Serve one already-parsed request on the calling domain. *)
 val run_request : t -> Protocol.request -> Protocol.response

@@ -113,6 +113,27 @@ let test_compile_cached () =
   Alcotest.(check string) "cached output identical" r1.Core.output
     r2.Core.output
 
+(* The cache evicts its least recently used program, so a hot source
+   requested between one-shot sources keeps its entry — and its program
+   identity — for as long as the stream runs. *)
+let test_compile_cache_lru () =
+  let hot_src = "int main() { print_int(424242); return 0; }" in
+  let hot = Core.compile_cached Core.cash hot_src in
+  let _, m0 = Core.compile_cache_stats () in
+  let rounds = 3 * Core.compile_cache_capacity in
+  for k = 1 to rounds do
+    let one_shot =
+      Printf.sprintf "int main() { print_int(%d); return 0; }" (900000 + k)
+    in
+    ignore (Core.compile_cached Core.cash one_shot);
+    Alcotest.(check bool)
+      (Printf.sprintf "hot program kept after %d one-shot sources" k)
+      true
+      (Core.compile_cached Core.cash hot_src == hot)
+  done;
+  let _, m1 = Core.compile_cache_stats () in
+  Alcotest.(check int) "only the one-shot sources missed" rounds (m1 - m0)
+
 let test_shared_superblocks_bind () =
   let src =
     "int main() { int i; int s = 0; for (i = 0; i < 50; i++) s = s + i; \
@@ -167,6 +188,8 @@ let suite =
     Alcotest.test_case "stat sum" `Quick test_stat_sum;
     Alcotest.test_case "violation surfaces" `Quick test_bound_violation_surfaces;
     Alcotest.test_case "compile cache" `Quick test_compile_cached;
+    Alcotest.test_case "compile cache keeps a hot source (LRU)" `Quick
+      test_compile_cache_lru;
     Alcotest.test_case "shared superblocks bind" `Quick
       test_shared_superblocks_bind;
     Alcotest.test_case "default engine is block" `Quick

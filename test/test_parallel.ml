@@ -75,6 +75,47 @@ let test_nested_stays_serial () =
        (fun d -> Alcotest.(check int) "-j1 runs on the calling domain" self d))
     serial
 
+(* Two tasks that must run on different domains: each waits for the
+   other to arrive. The wait is bounded, so a pool that ran both on one
+   domain fails the test instead of hanging it. Each task returns
+   (its index, its domain). *)
+let rendezvous ?(raise_after = false) () =
+  let arrived = Atomic.make 0 in
+  Array.init 2 (fun i () ->
+      Atomic.incr arrived;
+      let deadline = Unix.gettimeofday () +. 10. in
+      while Atomic.get arrived < 2 do
+        if Unix.gettimeofday () > deadline then
+          failwith "rendezvous: the other task never arrived";
+        Domain.cpu_relax ()
+      done;
+      if raise_after then raise (Boom i);
+      (i, (Domain.self () :> int)))
+
+(* The one domain in a rendezvous result that is not the caller's. *)
+let helper_of results =
+  let self = (Domain.self () :> int) in
+  Alcotest.(check (list int)) "results in task order" [ 0; 1 ]
+    (Array.to_list (Array.map fst results));
+  let domains = Array.to_list (Array.map snd results) in
+  match List.filter (fun d -> d <> self) domains with
+  | [ h ] -> h
+  | ds -> Alcotest.failf "expected one helper domain, got %d" (List.length ds)
+
+let test_helpers_persist () =
+  let first = helper_of (Parallel.run_jobs ~jobs:2 (rendezvous ())) in
+  let second = helper_of (Parallel.run_jobs ~jobs:2 (rendezvous ())) in
+  Alcotest.(check int) "the same helper serves both calls" first second
+
+let test_crew_survives_failure () =
+  let helper = helper_of (Parallel.run_jobs ~jobs:2 (rendezvous ())) in
+  (match Parallel.run_jobs ~jobs:2 (rendezvous ~raise_after:true ()) with
+   | _ -> Alcotest.fail "expected Boom"
+   | exception Boom 0 -> ()
+   | exception Boom n -> Alcotest.failf "re-raised task %d, wanted task 0" n);
+  Alcotest.(check int) "the same helper after a failed call" helper
+    (helper_of (Parallel.run_jobs ~jobs:2 (rendezvous ())))
+
 let test_jobs_of_argv () =
   let check name expect argv =
     Alcotest.(check (option int)) name expect (Parallel.jobs_of_argv argv)
@@ -228,6 +269,10 @@ let suite =
       test_exception_lowest_index;
     Alcotest.test_case "nested fan-out stays serial" `Quick
       test_nested_stays_serial;
+    Alcotest.test_case "crew: helpers persist across calls" `Quick
+      test_helpers_persist;
+    Alcotest.test_case "crew: usable after a failing call" `Quick
+      test_crew_survives_failure;
     Alcotest.test_case "-j parsing" `Quick test_jobs_of_argv;
     Alcotest.test_case "sink merge sums exactly" `Quick test_merge_sums_exactly;
     Alcotest.test_case "full reproduction: -j1 = -j4 (oracle)" `Slow

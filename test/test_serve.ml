@@ -333,6 +333,48 @@ let test_summary_compile_cache () =
   Alcotest.(check bool) "grep-pinned prefix unchanged" true
     (has "\"summary\":true,\"requests\":")
 
+(* A long-lived server fed a stream of distinct programs keeps a
+   bounded amount of memory: its worker's warm table evicts the least
+   recently used program, and the machine behind each start image is
+   recycled at once. The bound is counted in machines, measured here by
+   one [Core.start] on a fresh domain (whose free list of physical
+   memory is empty, so the machine's whole footprint shows). *)
+let test_server_state_bounded () =
+  let src k = Printf.sprintf "int main() { print_int(%d); return 0; }" k in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let machine_words =
+    let compiled = Core.compile Core.cash (src 0) in
+    Domain.join
+      (Domain.spawn (fun () ->
+           let w0 = live () in
+           let s = Core.start compiled in
+           let w1 = live () in
+           ignore (Sys.opaque_identity s);
+           w1 - w0))
+  in
+  let lines =
+    List.init 100 (fun k ->
+        Printf.sprintf
+          {|{"op": "compile-and-run", "backend": "cash", "source": %S}|}
+          (src (7_100_000 + k)))
+  in
+  let server = Serve.Server.create ~jobs:1 ~warms:[] () in
+  let w0 = live () in
+  let responses, summary = Serve.Server.run_lines server lines in
+  let growth = live () - w0 in
+  Alcotest.(check int) "no errors" 0 summary.Serve.Server.errors;
+  Alcotest.(check int) "every program compiled" 100
+    summary.Serve.Server.compile_misses;
+  Alcotest.(check string) "last output" "7100099\n"
+    (List.nth responses 99).Serve.Protocol.rs_output;
+  if growth >= 25 * machine_words then
+    Alcotest.failf "live heap grew %d words over 100 programs, %.1f machines"
+      growth
+      (float_of_int growth /. float_of_int machine_words)
+
 (* --- protocol ------------------------------------------------------------- *)
 
 let test_protocol_round_trip () =
@@ -394,6 +436,8 @@ let suite =
       test_summary_compile_cache;
     Alcotest.test_case "server: streams channels with summary" `Quick
       test_server_streams_channels;
+    Alcotest.test_case "server: retained state stays bounded" `Quick
+      test_server_state_bounded;
     Alcotest.test_case "protocol: round-trip and rejection" `Quick
       test_protocol_round_trip;
   ]
