@@ -8,10 +8,7 @@
      dune exec bench/main.exe -- --trace        # + trace/profile JSON
      dune exec bench/main.exe -- -j 4           # reproduction across 4 domains
      dune exec bench/main.exe -- --engine=block # pick the CPU engine
-     dune exec bench/main.exe -- --no-chain     # block engine without chaining
      dune exec bench/main.exe -- --quick --ab   # fast block-vs-predecode gate
-     dune exec bench/main.exe -- --quick --ab-chain
-                                              # chain-on vs chain-off gate
      dune exec bench/main.exe -- --compare BENCH_3.json
                                               # + ratios vs a prior record
      dune exec bench/main.exe -- --serve 2000 # warm-pool request server
@@ -114,29 +111,24 @@ let claim_output_channel () =
   in
   go 1
 
-(* The block/chain compilation shape of one reproduction pass, snapshotted
-   as deltas of the process-wide counters around the measured run:
-   "blocks_built" superblocks of "avg_block_len" instructions, welded into
-   "chains_built" chains spanning "avg_chain_blocks" blocks /
-   "avg_chain_insns" instructions each (all zero for the per-instruction
-   engines, and for the block engine with --no-chain). *)
+(* The superblock compilation shape of one reproduction pass,
+   snapshotted as deltas of the process-wide counters around the
+   measured run: "blocks_built" superblocks of "avg_block_len"
+   instructions (both zero for the per-instruction engines). *)
 type shape = {
-  chaining : bool;  (* chaining was enabled for this pass *)
   blocks_built : int;
   avg_block_len : float;
-  chains_built : int;
-  avg_chain_blocks : float;
-  avg_chain_insns : float;
 }
 
-(* Schema 8: adds the five-scheme matrix record kind (bench = "matrix",
-   written by --matrix, with per-scheme total cycles and overhead
-   percentages over the workload slice) alongside schema 7's frontend
-   records (bench = "frontend"), schema 6's serve records (bench =
-   "serve"), and the reproduction records, which carry schema 5's
-   fields unchanged ("chaining" and the chain shape on top of
-   schema 4's engine + superblock shape). *)
-let schema = 8
+(* Schema 9: the reproduction records drop schema 5's "chaining",
+   "chains_built", "avg_chain_blocks" and "avg_chain_insns" fields,
+   keeping schema 4's engine + superblock shape. Every other record
+   kind keeps its fields: the five-scheme matrix records (added in
+   schema 8, bench = "matrix", written by --matrix, with per-scheme
+   total cycles and overhead percentages over the workload slice), the
+   frontend records (schema 7, bench = "frontend") and the serve
+   records (schema 6, bench = "serve"). *)
+let schema = 9
 
 let write_json ~path ~oc ~engine ~traced ~quick ~jobs ~n_experiments
     ~shape tp =
@@ -150,7 +142,6 @@ let write_json ~path ~oc ~engine ~traced ~quick ~jobs ~n_experiments
           );
           ("engine", Str (Core.engine_name engine));
           ("traced", Bool traced);
-          ("chaining", Bool shape.chaining);
           ("jobs", Int jobs);
           ("ocaml_version", Str Sys.ocaml_version);
           ("experiments", Int n_experiments);
@@ -159,9 +150,6 @@ let write_json ~path ~oc ~engine ~traced ~quick ~jobs ~n_experiments
           ("insns_per_host_second", Float tp.insns_per_second);
           ("blocks_built", Int shape.blocks_built);
           ("avg_block_len", Float shape.avg_block_len);
-          ("chains_built", Int shape.chains_built);
-          ("avg_chain_blocks", Float shape.avg_chain_blocks);
-          ("avg_chain_insns", Float shape.avg_chain_insns);
         ])
   in
   Fun.protect
@@ -275,10 +263,10 @@ let compare_against ~path ~engine ~quick ~jobs ~shape tp =
       let ratio = tp.insns_per_second /. old_ips in
       Printf.printf "insns per host second %12.0f   then %8.0f  (%.2fx)\n"
         tp.insns_per_second old_ips ratio;
-      (* The compilation shape (schema ≥4/5 fields): host-independent,
-         so a delta here is a real behaviour change in the block or
-         chain builders, not host noise. Older records simply lack the
-         fields and print nothing. *)
+      (* The compilation shape (schema ≥4 fields): host-independent, so
+         a delta here is a real behaviour change in the block builder,
+         not host noise. Older records simply lack the fields and print
+         nothing. *)
       let shape_int name now =
         match fld name Trace.Json.to_int_opt with
         | Some old_v when old_v > 0 || now > 0 ->
@@ -297,19 +285,6 @@ let compare_against ~path ~engine ~quick ~jobs ~shape tp =
       in
       shape_int "blocks_built" shape.blocks_built;
       shape_float "avg_block_len" shape.avg_block_len;
-      shape_int "chains_built" shape.chains_built;
-      shape_float "avg_chain_blocks" shape.avg_chain_blocks;
-      shape_float "avg_chain_insns" shape.avg_chain_insns;
-      (match Option.bind (Trace.Json.member "chaining" old) (function
-         | Trace.Json.Bool b -> Some b
-         | _ -> None)
-       with
-       | Some old_chaining when old_chaining <> shape.chaining ->
-         Printf.printf
-           "note: chaining differs (%b vs %b); block-engine throughput is \
-            not comparable\n"
-           shape.chaining old_chaining
-       | _ -> ());
       let this_bench =
         if quick then "quick-reproduction" else "full-reproduction"
       in
@@ -796,15 +771,13 @@ let run_bechamel experiments =
       | _ -> Printf.printf "%-28s %16s\n" name "n/a")
     results
 
-(* One measured reproduction pass under [engine] (with block chaining on
-   or off): run every experiment over the domain pool, report
-   throughput, claim and write the BENCH/TRACE json pair. Returns the
-   reports (for printing/comparison), the throughput record, and the
-   compilation shape (for the --ab/--ab-chain gates and --compare). *)
-let run_reproduction ~experiments ~engine ~chain ~jobs ~traced ~quick
+(* One measured reproduction pass under [engine]: run every experiment
+   over the domain pool, report throughput, claim and write the
+   BENCH/TRACE json pair. Returns the reports (for printing/comparison),
+   the throughput record, and the compilation shape (for --compare). *)
+let run_reproduction ~experiments ~engine ~jobs ~traced ~quick
     ~print_tables =
   Core.set_default_engine engine;
-  Core.set_chaining chain;
   let aggregate =
     if traced then begin
       (* Every sink created from here on — this aggregate and each
@@ -818,9 +791,6 @@ let run_reproduction ~experiments ~engine ~chain ~jobs ~traced ~quick
   in
   let blocks0 = Machine.Cpu.blocks_built () in
   let binsns0 = Machine.Cpu.block_insns_compiled () in
-  let chains0 = Machine.Cpu.chains_built () in
-  let cblocks0 = Machine.Cpu.chain_blocks_linked () in
-  let cinsns0 = Machine.Cpu.chain_insns_linked () in
   let (reports, timings), tp =
     measure_throughput (fun () ->
         Harness.Suite.run_all_timed ~jobs ?trace_into:aggregate experiments)
@@ -832,34 +802,14 @@ let run_reproduction ~experiments ~engine ~chain ~jobs ~traced ~quick
       float_of_int (Machine.Cpu.block_insns_compiled () - binsns0)
       /. float_of_int blocks_built
   in
-  let chains_built = Machine.Cpu.chains_built () - chains0 in
-  let per_chain counter c0 =
-    if chains_built = 0 then 0.
-    else float_of_int (counter - c0) /. float_of_int chains_built
-  in
-  let shape =
-    {
-      chaining = chain && engine = Machine.Cpu.Block;
-      blocks_built;
-      avg_block_len;
-      chains_built;
-      avg_chain_blocks = per_chain (Machine.Cpu.chain_blocks_linked ()) cblocks0;
-      avg_chain_insns = per_chain (Machine.Cpu.chain_insns_linked ()) cinsns0;
-    }
-  in
+  let shape = { blocks_built; avg_block_len } in
   if print_tables then print_reports reports;
-  Printf.printf "\n== engine %s%s ==\n" (Core.engine_name engine)
-    (if engine = Machine.Cpu.Block then
-       if chain then " (chaining)" else " (no chaining)"
-     else "");
+  Printf.printf "\n== engine %s ==\n" (Core.engine_name engine);
   print_throughput ~jobs tp;
   print_job_timings timings;
   if blocks_built > 0 then
     Printf.printf "blocks built          %12d (avg %.1f insns)\n"
       blocks_built avg_block_len;
-  if chains_built > 0 then
-    Printf.printf "chains built          %12d (avg %.1f blocks, %.1f insns)\n"
-      chains_built shape.avg_chain_blocks shape.avg_chain_insns;
   let n, path, oc = claim_output_channel () in
   write_json ~path ~oc ~engine ~traced ~quick ~jobs
     ~n_experiments:(List.length experiments) ~shape tp;
@@ -889,8 +839,6 @@ let () =
   let traced = Array.exists (fun a -> a = "--trace") Sys.argv in
   let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
   let ab = Array.exists (fun a -> a = "--ab") Sys.argv in
-  let ab_chain = Array.exists (fun a -> a = "--ab-chain") Sys.argv in
-  let chain = not (Array.exists (fun a -> a = "--no-chain") Sys.argv) in
   let engine =
     Array.fold_left
       (fun acc a ->
@@ -936,12 +884,12 @@ let () =
        and the block engine must not be slower — a direct regression
        tripwire for the block dispatch and fast-path layers. *)
     let reports_pre, tp_pre, _ =
-      run_reproduction ~experiments ~engine:Machine.Cpu.Predecoded ~chain
-        ~jobs ~traced ~quick ~print_tables:false
+      run_reproduction ~experiments ~engine:Machine.Cpu.Predecoded ~jobs
+        ~traced ~quick ~print_tables:false
     in
     let reports_blk, tp_blk, _ =
-      run_reproduction ~experiments ~engine:Machine.Cpu.Block ~chain ~jobs
-        ~traced ~quick ~print_tables:false
+      run_reproduction ~experiments ~engine:Machine.Cpu.Block ~jobs ~traced
+        ~quick ~print_tables:false
     in
     if render reports_pre <> render reports_blk then begin
       prerr_endline "bench --ab: block-engine tables differ from predecode";
@@ -956,42 +904,9 @@ let () =
       exit 1
     end
   end
-  else if ab_chain then begin
-    (* Chain A/B gate: the superblock engine with chaining off and then
-       on. Chaining is a pure host-throughput cache, so the tables must
-       match byte for byte, chains must actually have been built on the
-       on leg, and the chained run must not be slower — the tripwire
-       for the chain builder and the chained dispatch loop. *)
-    let reports_off, tp_off, _ =
-      run_reproduction ~experiments ~engine:Machine.Cpu.Block ~chain:false
-        ~jobs ~traced ~quick ~print_tables:false
-    in
-    let reports_on, tp_on, shape_on =
-      run_reproduction ~experiments ~engine:Machine.Cpu.Block ~chain:true
-        ~jobs ~traced ~quick ~print_tables:false
-    in
-    if render reports_off <> render reports_on then begin
-      prerr_endline "bench --ab-chain: chained tables differ from unchained";
-      exit 1
-    end;
-    Printf.printf
-      "\n== chain A/B gate: chained %.0f insns/s vs unchained %.0f insns/s \
-       (%.2fx, %d chains) ==\n"
-      tp_on.insns_per_second tp_off.insns_per_second
-      (tp_on.insns_per_second /. tp_off.insns_per_second)
-      shape_on.chains_built;
-    if shape_on.chains_built = 0 then begin
-      prerr_endline "bench --ab-chain: no chains were built on the on leg";
-      exit 1
-    end;
-    if tp_on.insns_per_second < tp_off.insns_per_second then begin
-      prerr_endline "bench --ab-chain: chained run slower than unchained";
-      exit 1
-    end
-  end
   else begin
     let _reports, tp, shape =
-      run_reproduction ~experiments ~engine ~chain ~jobs ~traced ~quick
+      run_reproduction ~experiments ~engine ~jobs ~traced ~quick
         ~print_tables:true
     in
     (match compare_of_argv Sys.argv with

@@ -78,15 +78,6 @@ let engine =
                predecode, or reference. Simulated cycles and output \
                are engine-independent.")
 
-let no_chain =
-  Arg.(value & flag &
-       info [ "no-chain" ]
-         ~doc:"Disable block chaining (meaningful only with \
-               $(b,--engine=block)): hot blocks dispatch one at a time \
-               instead of being chained past the dispatch loop. Purely a \
-               host-throughput knob — simulated cycles, output, and \
-               faults are identical either way.")
-
 let replay =
   Arg.(value & opt (some file) None &
        info [ "replay" ] ~docv:"SNAPSHOT"
@@ -138,9 +129,8 @@ let print_check sink =
     violations;
   violations = []
 
-let run file backend stats dump_asm profile check engine no_chain replay =
+let run file backend stats dump_asm profile check engine replay =
   let source = read_file file in
-  if no_chain then Core.set_chaining false;
   match Core.compile backend source with
   | exception Minic.Lexer.Lex_error (m, l) ->
     Printf.eprintf "%s:%d: lexical error: %s\n" file l m; 1
@@ -217,6 +207,6 @@ let cmd =
   let doc = "compile and run mini-C on the simulated segmented x86" in
   Cmd.v (Cmd.info "cashc" ~doc)
     Term.(const run $ file $ backend $ stats $ dump_asm $ profile $ check
-          $ engine $ no_chain $ replay)
+          $ engine $ replay)
 
 let () = exit (Cmd.eval' cmd)

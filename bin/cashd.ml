@@ -32,12 +32,6 @@ let engine =
                block, predecode, reference. Results are \
                engine-independent.")
 
-let no_chain =
-  Arg.(value & flag &
-       info [ "no-chain" ]
-         ~doc:"Disable superblock chaining (host-throughput knob; \
-               simulated results are identical).")
-
 let jobs =
   Arg.(value & opt (some int) None &
        info [ "j"; "jobs" ] ~docv:"N"
@@ -116,15 +110,13 @@ let serve_socket server path max_conns =
   Unix.close sock;
   (try Unix.unlink path with Unix.Unix_error _ -> ())
 
-let run engine no_chain jobs batch no_pool no_warm socket max_conns
-    gen_requests =
+let run engine jobs batch no_pool no_warm socket max_conns gen_requests =
   match gen_requests with
   | Some n ->
     List.iter print_endline
       (Serve.Server.gen_mix ~names:(Serve.Server.table8_names ()) n);
     0
   | None ->
-    if no_chain then Core.set_chaining false;
     Core.set_default_engine engine;
     let warms = if no_warm then [] else Serve.Server.table8_warms ?jobs () in
     let server =
@@ -147,7 +139,7 @@ let run engine no_chain jobs batch no_pool no_warm socket max_conns
 let cmd =
   let doc = "warm-pool request server for the simulated segmented x86" in
   Cmd.v (Cmd.info "cashd" ~doc)
-    Term.(const run $ engine $ no_chain $ jobs $ batch $ no_pool $ no_warm
+    Term.(const run $ engine $ jobs $ batch $ no_pool $ no_warm
           $ socket $ max_conns $ gen_requests)
 
 let () = exit (Cmd.eval' cmd)

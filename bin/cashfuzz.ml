@@ -46,10 +46,10 @@ let engines =
   Arg.(value & opt (enum [ ("fast", Fuzz.Fleet.Fast); ("all", Fuzz.Fleet.All) ])
          Fuzz.Fleet.Fast &
        info [ "engines" ]
-         ~doc:"$(b,fast) runs each program once per backend on the chained \
+         ~doc:"$(b,fast) runs each program once per backend on the \
                superblock engine; $(b,all) runs the full differential \
-               matrix (predecode, block with and without chaining, and the \
-               reference oracle every 7th seed).")
+               matrix (predecode, block, and the reference oracle every \
+               7th seed).")
 
 let dump_dir =
   Arg.(value & opt string "fuzz-failures" &
@@ -79,15 +79,8 @@ let force_fail =
          ~doc:"Force this seed to fail — exercises the shrink-and-dump \
                path on demand (the CI drill).")
 
-let no_chain =
-  Arg.(value & flag &
-       info [ "no-chain" ]
-         ~doc:"Disable block chaining process-wide. Purely a \
-               host-throughput knob; simulated behaviour is identical.")
-
 let run count first_seed oob_every jobs engines dump_dir no_dump no_shrink
-    plugins force_fail no_chain =
-  if no_chain then Core.set_chaining false;
+    plugins force_fail =
   let cfg =
     {
       Fuzz.Fleet.count;
@@ -140,6 +133,6 @@ let cmd =
   let doc = "property-based differential fuzzing of the Cash compilers" in
   Cmd.v (Cmd.info "cashfuzz" ~doc)
     Term.(const run $ count $ first_seed $ oob_every $ jobs $ engines
-          $ dump_dir $ no_dump $ no_shrink $ plugins $ force_fail $ no_chain)
+          $ dump_dir $ no_dump $ no_shrink $ plugins $ force_fail)
 
 let () = exit (Cmd.eval' cmd)

@@ -72,18 +72,10 @@ let engine =
          (Core.default_engine ())
        & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
-let no_chain =
-  let doc =
-    "Disable block chaining under $(b,--engine=block). A host-throughput \
-     knob only: simulated results are byte-identical either way."
-  in
-  Arg.(value & flag & info [ "no-chain" ] ~doc)
-
-let run selected requests jobs engine no_chain =
-  (* Ambient (process-wide atomics): set before the domain fan-out so
-     every worker's [Core.run] calls pick them up. *)
+let run selected requests jobs engine =
+  (* Ambient (a process-wide atomic): set before the domain fan-out so
+     every worker's [Core.run] calls pick it up. *)
   Core.set_default_engine engine;
-  if no_chain then Core.set_chaining false;
   let to_run = if selected = [] then names else selected in
   let tasks =
     Array.of_list
@@ -97,6 +89,6 @@ let run selected requests jobs engine no_chain =
 let cmd =
   let doc = "reproduce the tables and figures of the Cash paper (DSN 2005)" in
   Cmd.v (Cmd.info "experiments" ~doc)
-    Term.(const run $ selected $ requests $ jobs $ engine $ no_chain)
+    Term.(const run $ selected $ requests $ jobs $ engine)
 
 let () = exit (Cmd.eval cmd)

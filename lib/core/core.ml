@@ -238,16 +238,6 @@ let engine_name = function
   | Machine.Cpu.Predecoded -> "predecoded"
   | Machine.Cpu.Reference -> "reference"
 
-(* Ambient block-chaining default (bench/experiments/cashc --no-chain):
-   the cell lives in [Machine.Cpu] (an Atomic, read once per CPU
-   creation) so every domain of a parallel harness observes the CLI's
-   choice; these are the facade's names for it. A per-run [?chain]
-   argument on [start]/[run]/[exec] overrides it without touching the
-   process-wide state — what the differential fleet's chain-off leg
-   uses so concurrent jobs cannot race the global. *)
-let set_chaining = Machine.Cpu.set_chaining
-let chaining_enabled = Machine.Cpu.chaining_enabled
-
 (* A loaded-but-not-finished machine: what [start] returns, [finish]
    consumes, and the snapshot layer checkpoints. *)
 type state = {
@@ -264,9 +254,10 @@ let state_process state = state.s_process
    and (for Cash programs) the runtime, and stop just before the first
    instruction. A fresh kernel is created unless one is supplied (supply
    one to share a global clock across processes, as the network
-   experiments do). *)
-let start ?kernel ?engine ?chain ?trace ?(guard_malloc = false)
-    (compiled : compiled) =
+   experiments do). [?chain] is ignored: perfbench/layers.ml:31 still
+   passes it. *)
+let start ?kernel ?engine ?chain:(_ : bool option) ?trace
+    ?(guard_malloc = false) (compiled : compiled) =
   let trace =
     match trace with Some _ as s -> s | None -> current_trace ()
   in
@@ -277,8 +268,7 @@ let start ?kernel ?engine ?chain ?trace ?(guard_malloc = false)
     match kernel with Some k -> k | None -> Osim.Kernel.create ()
   in
   let process =
-    Osim.Process.load ~engine ?chain ~kernel
-      compiled.Compilers.Codegen.program
+    Osim.Process.load ~engine ~kernel compiled.Compilers.Codegen.program
   in
   Machine.Cpu.set_sink (Osim.Process.cpu process) trace;
   if guard_malloc then
@@ -317,9 +307,8 @@ let finish ?fuel state =
 (* Load [compiled] into a fresh simulated process and run it to
    completion. With a trace sink (explicit or ambient), the CPU and MMU
    emit events into it. *)
-let run ?kernel ?engine ?chain ?fuel ?trace ?guard_malloc
-    (compiled : compiled) =
-  finish ?fuel (start ?kernel ?engine ?chain ?trace ?guard_malloc compiled)
+let run ?kernel ?engine ?fuel ?trace ?guard_malloc (compiled : compiled) =
+  finish ?fuel (start ?kernel ?engine ?trace ?guard_malloc compiled)
 
 (* --- checkpoint/restore (lib/snapshot) --- *)
 
@@ -375,8 +364,8 @@ let state_of_run (compiled : compiled) (r : run) =
   }
 
 (* Compile and run in one step. *)
-let exec ?engine ?chain ?fuel ?trace ?guard_malloc backend source =
-  run ?engine ?chain ?fuel ?trace ?guard_malloc (compile backend source)
+let exec ?engine ?fuel ?trace ?guard_malloc backend source =
+  run ?engine ?fuel ?trace ?guard_malloc (compile backend source)
 
 (* Sum of the dynamic counters whose label starts with [prefix] —
    "__stat_iter_a" (array-loop iterations), "__stat_iter_s" (spilled-loop

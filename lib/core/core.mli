@@ -106,7 +106,8 @@ val state_process : state -> Osim.Process.t
 
 (** Load into a fresh simulated process, wire the trace sink and (for
     Cash programs) the runtime, and stop before the first instruction.
-    Same optional arguments as {!run}. *)
+    Same optional arguments as {!run}. [chain] is ignored:
+    perfbench/layers.ml:31 still passes it. *)
 val start :
   ?kernel:Osim.Kernel.t -> ?engine:Machine.Cpu.engine -> ?chain:bool ->
   ?trace:Trace.sink -> ?guard_malloc:bool -> compiled -> state
@@ -148,10 +149,9 @@ val state_of_run : compiled -> run -> state
 
 (** Load into a fresh simulated process and run to completion. Supply
     [kernel] to share a global clock across processes (the network
-    experiments do); [engine] to pick the CPU interpreter (the
-    pre-decoded fast path by default, [Machine.Cpu.Reference] for the
-    equivalence oracle); [chain] to override the block-chaining
-    default (see {!set_chaining}); [trace] to attach a {!Trace.sink} — the run
+    experiments do); [engine] to pick the CPU interpreter (the ambient
+    {!default_engine} by default, [Machine.Cpu.Reference] for the
+    equivalence oracle); [trace] to attach a {!Trace.sink} — the run
     emits hardware/OS events into it and folds its per-function cycle
     attribution in afterwards (tracing never changes simulated
     semantics); [guard_malloc] enables the Electric Fence
@@ -160,12 +160,12 @@ val state_of_run : compiled -> run -> state
     virtual-memory cost.
     @raise Machine.Cpu.Out_of_fuel past [fuel] instructions. *)
 val run :
-  ?kernel:Osim.Kernel.t -> ?engine:Machine.Cpu.engine -> ?chain:bool ->
+  ?kernel:Osim.Kernel.t -> ?engine:Machine.Cpu.engine ->
   ?fuel:int -> ?trace:Trace.sink -> ?guard_malloc:bool -> compiled -> run
 
 (** [compile] then [run]. *)
 val exec :
-  ?engine:Machine.Cpu.engine -> ?chain:bool -> ?fuel:int ->
+  ?engine:Machine.Cpu.engine -> ?fuel:int ->
   ?trace:Trace.sink -> ?guard_malloc:bool -> backend -> string -> run
 
 (** Ambient sink applied to every {!run} without an explicit [?trace] —
@@ -202,18 +202,6 @@ val engine_of_string : string -> Machine.Cpu.engine option
 (** The BENCH-json name of an engine: ["block"] / ["predecoded"] /
     ["reference"]. *)
 val engine_name : Machine.Cpu.engine -> string
-
-(** Ambient block-chaining default for {!Machine.Cpu.Block} CPUs — how
-    [--no-chain] on the bench and experiment CLIs reaches the buried
-    [run] calls. Process-wide (atomic, read once per CPU creation);
-    set it before fanning out. On by default. A per-run [?chain] on
-    {!start}/{!run}/{!exec} overrides it without touching process-wide
-    state (safe under concurrent harness domains). Chaining is a pure
-    host-throughput cache: simulated state, cycles, traces, and faults
-    are bit-identical either way. *)
-val set_chaining : bool -> unit
-
-val chaining_enabled : unit -> bool
 
 (** Sum of the dynamic zero-cost counters with the given name prefix:
     ["__stat_iter_a_"] array-loop iterations, ["__stat_iter_s_"]

@@ -59,17 +59,18 @@ let status_name = function
 
 let is_bv = function Core.Bound_violation _ -> true | _ -> false
 
-(* One engine per program: the superblock engine with chaining, the
-   fleet's throughput configuration. *)
-let fast_engines = [ ("block", Machine.Cpu.Block, Some true) ]
+(* One engine per program: the superblock engine, the fleet's throughput
+   configuration. The third component of every engine leg is [None]:
+   perfbench/fuzz_load.ml:114-115 still reads it. *)
+let fast_engines : (string * Machine.Cpu.engine * bool option) list =
+  [ ("block", Machine.Cpu.Block, None) ]
 
 (* The full differential matrix of test/test_differential.ml: both fast
-   engines on every seed — the block engine with chaining on AND off —
-   with the reference oracle joining on every 7th seed. *)
-let all_engines ~seed =
+   engines on every seed, with the reference oracle joining on every 7th
+   seed. *)
+let all_engines ~seed : (string * Machine.Cpu.engine * bool option) list =
   [ ("predecode", Machine.Cpu.Predecoded, None);
-    ("block", Machine.Cpu.Block, Some true);
-    ("block-nochain", Machine.Cpu.Block, Some false) ]
+    ("block", Machine.Cpu.Block, None) ]
   @ (if seed mod 7 = 0 then [ ("reference", Machine.Cpu.Reference, None) ]
      else [])
 
@@ -113,8 +114,8 @@ let compile_backend ~seed ~what backend src =
    (compiled, run) pair, so the failure value can carry the compiled
    program alongside the run (the dumper reuses it instead of
    recompiling). *)
-let run_backend ~seed ~what ~engine ?chain ?trace backend compiled src =
-  match (compiled, Core.run ~engine ?chain ?trace compiled) with
+let run_backend ~seed ~what ~engine ?trace backend compiled src =
+  match (compiled, Core.run ~engine ?trace compiled) with
   | pair -> pair
   | exception (Failed _ as e) -> raise e
   | exception e ->
@@ -124,15 +125,13 @@ let run_backend ~seed ~what ~engine ?chain ?trace backend compiled src =
 (* A cash run, optionally with the shipped plugins watching the
    hardware event stream. Each run gets its own sink, so a violation
    names the exact program and engine leg that provoked it. *)
-let run_cash ~plugins ~seed ~what ~engine ?chain compiled src =
-  if not plugins then
-    run_backend ~seed ~what ~engine ?chain Core.cash compiled src
+let run_cash ~plugins ~seed ~what ~engine compiled src =
+  if not plugins then run_backend ~seed ~what ~engine Core.cash compiled src
   else begin
     let sink = Trace.create () in
     Checkers.attach_shipped sink;
     let pair =
-      run_backend ~seed ~what ~engine ?chain ~trace:sink Core.cash compiled
-        src
+      run_backend ~seed ~what ~engine ~trace:sink Core.cash compiled src
     in
     Trace.finish_plugins sink;
     (match Checkers.shipped_violations sink with
@@ -165,21 +164,13 @@ let check_in_bounds ~engines ~plugins ~seed src =
   let mc = compile_backend ~seed ~what Core.mpx src in
   let kc = compile_backend ~seed ~what Core.cap src in
   List.iter
-    (fun (ename, engine, chain) ->
+    (fun (ename, engine, _) ->
       let what = "in-bounds/" ^ ename in
-      let (_, g) as gp =
-        run_backend ~seed ~what ~engine ?chain Core.gcc gc src
-      in
-      let (_, b) as bp =
-        run_backend ~seed ~what ~engine ?chain Core.bcc bc src
-      in
-      let (_, c) as cp = run_cash ~plugins ~seed ~what ~engine ?chain cc src in
-      let (_, m) as mp =
-        run_backend ~seed ~what ~engine ?chain Core.mpx mc src
-      in
-      let (_, k) as kp =
-        run_backend ~seed ~what ~engine ?chain Core.cap kc src
-      in
+      let (_, g) as gp = run_backend ~seed ~what ~engine Core.gcc gc src in
+      let (_, b) as bp = run_backend ~seed ~what ~engine Core.bcc bc src in
+      let (_, c) as cp = run_cash ~plugins ~seed ~what ~engine cc src in
+      let (_, m) as mp = run_backend ~seed ~what ~engine Core.mpx mc src in
+      let (_, k) as kp = run_backend ~seed ~what ~engine Core.cap kc src in
       List.iter
         (fun (name, backend, ((_, r) as pair)) ->
           if r.Core.status <> Core.Finished then
@@ -215,21 +206,13 @@ let check_oob ~engines ~plugins ~seed prog src =
   let mc = compile_backend ~seed ~what Core.mpx src in
   let kc = compile_backend ~seed ~what Core.cap src in
   List.iter
-    (fun (ename, engine, chain) ->
+    (fun (ename, engine, _) ->
       let what = (if direct then "oob-direct/" else "oob/") ^ ename in
-      let (_, g) as gp =
-        run_backend ~seed ~what ~engine ?chain Core.gcc gc src
-      in
-      let (_, b) as bp =
-        run_backend ~seed ~what ~engine ?chain Core.bcc bc src
-      in
-      let (_, c) as cp = run_cash ~plugins ~seed ~what ~engine ?chain cc src in
-      let (_, m) as mp =
-        run_backend ~seed ~what ~engine ?chain Core.mpx mc src
-      in
-      let (_, k) as kp =
-        run_backend ~seed ~what ~engine ?chain Core.cap kc src
-      in
+      let (_, g) as gp = run_backend ~seed ~what ~engine Core.gcc gc src in
+      let (_, b) as bp = run_backend ~seed ~what ~engine Core.bcc bc src in
+      let (_, c) as cp = run_cash ~plugins ~seed ~what ~engine cc src in
+      let (_, m) as mp = run_backend ~seed ~what ~engine Core.mpx mc src in
+      let (_, k) as kp = run_backend ~seed ~what ~engine Core.cap kc src in
       if not (is_bv b.Core.status) then
         fail ~seed ~what ~backend:Core.bcc ~src ~run:bp
           "seed %d: bcc missed the overrun under %s (%s)" seed ename

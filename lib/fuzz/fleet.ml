@@ -16,7 +16,7 @@
    [stats.failures]. *)
 
 type engine_choice =
-  | Fast  (* block engine with chaining only — throughput runs *)
+  | Fast  (* block engine only — throughput runs *)
   | All  (* the full differential matrix, reference every 7th seed *)
 
 type config = {

@@ -109,60 +109,6 @@ type t = {
   fm_delta : int array;        (* phys - linear for that page *)
   fm_writable : bool array;
   fm_gen : int array;          (* Tlb.gen at fill time, or -1 *)
-  (* Block chaining (Dynamo-style trace chaining over the superblock
-     partition; [Block] engine with [chain_enabled] only). Once a block
-     has dispatched often enough, [build_chain] follows its terminator's
-     stable successor — statically for Jmp/Call/fall-through endings,
-     by observed branch bias for Jcc — and concatenates the successor
-     blocks' already-compiled closures into one contiguous array, so
-     the whole hot region (a loop in the common case) executes as a
-     single dispatch. All of this is a derived cache over [ublocks]:
-     dropping it (or never building it) changes nothing observable. *)
-  chain_enabled : bool;
-  chains : chain option array;  (* per head block id *)
-  chain_execs : int array;      (* per block id: unchained dispatches;
-                                   -1 marks a head that can never chain *)
-  jcc_taken : int array;        (* per Jcc site: taken retires ... *)
-  jcc_fall : int array;         (* ... and fall-through retires *)
-  chain_jcc_tgt : int array;    (* per block: taken target of a
-                                   terminating Jcc, [min_int] otherwise —
-                                   lets the dispatch loop sample branch
-                                   direction without instrumenting the
-                                   compiled closures *)
-  chain_jcc_site : int array;   (* per block: that Jcc's code index *)
-  (* Sub-instruction cursor of the fused chain op in flight: a fused
-     closure stores [m] here before running its [m]th constituent, and
-     the chain dispatch loop zeroes it before every op, so the unwind
-     handler can place a mid-op fault on the exact constituent
-     instruction ([c_base.(op) + fuse_sub]). Transient scratch — never
-     observable between instructions, never persisted. *)
-  mutable fuse_sub : int;
-}
-
-and chain = {
-  c_ops : (t -> int) array;    (* the member blocks' chained closures,
-                                  contiguous — [fuse_block]'s output, so
-                                  one closure may cover several adjacent
-                                  instructions *)
-  c_off : int array;           (* per member block: op offset into [c_ops] *)
-  c_starts : int array;        (* per member block: first insn index *)
-  c_nops : int array;          (* per member block: ops in [c_ops] *)
-  c_base : int array;          (* per op slot: block-relative index of the
-                                  op's first instruction — with
-                                  [t.fuse_sub], the exact faulting
-                                  instruction of a fused op *)
-  c_expected : int array;      (* the next-EIP that continues the chain;
-                                  the tail holds the head's start for a
-                                  looping chain, -1 otherwise *)
-  c_pre_insns : int array;     (* length blocks+1: instructions in member
-                                  blocks before index i — a mid-pass exit
-                                  commits one prefix-sum read instead of
-                                  running accumulators per block *)
-  c_pre_cycles : int array;    (* same, in cycles *)
-  c_blocks : int;
-  c_total_insns : int;         (* one full pass, in instructions *)
-  c_total_cycles : int;
-  c_loop : bool;               (* tail's hot successor is the head *)
 }
 
 exception Out_of_fuel
@@ -193,25 +139,11 @@ let block_insns_compiled () = Atomic.get block_insns_total
 let blocks_bound_total = Atomic.make 0
 let blocks_bound () = Atomic.get blocks_bound_total
 
-(* Chaining defaults to on for [Block] CPUs; [set_chaining false] (the
-   `--no-chain` flag, the differential fleet's chain-off leg, and the
-   bench A/B gate) restores PR 4's plain per-block dispatch. Read once
-   at [create]; per-CPU thereafter, so toggling cannot race a run. *)
-let chain_default = Atomic.make true
-let set_chaining b = Atomic.set chain_default b
-let chaining_enabled () = Atomic.get chain_default
+(* Always 0: perfbench/common.ml:138-139 still reads both. *)
+let chains_built () = 0
+let chain_insns_linked () = 0
 
-(* Chain-construction accounting for BENCH schema 5 ("chains_built" /
-   "avg_chain_blocks" / "avg_chain_insns"), same discipline as the
-   block counters above: host-side only, summed across CPUs/domains. *)
-let chains_built_total = Atomic.make 0
-let chain_blocks_total = Atomic.make 0
-let chain_insns_total = Atomic.make 0
-let chains_built () = Atomic.get chains_built_total
-let chain_blocks_linked () = Atomic.get chain_blocks_total
-let chain_insns_linked () = Atomic.get chain_insns_total
-
-let create ?(engine = default_engine) ?chain ~mmu ~phys ~costs ~program () =
+let create ?(engine = default_engine) ~mmu ~phys ~costs ~program () =
   let code = program.Program.code in
   let stat_counters = Hashtbl.create 31 in
   (* Pre-intern one counter ref per stat label; every other site shares a
@@ -245,30 +177,6 @@ let create ?(engine = default_engine) ?chain ~mmu ~phys ~costs ~program () =
           acc := !acc + cost_tab.(i)
         done;
         !acc)
-  in
-  let chain_enabled =
-    (match engine with Block -> true | _ -> false)
-    && (match chain with Some b -> b | None -> Atomic.get chain_default)
-  in
-  let nblocks = Array.length block_starts in
-  (* Static per-block Jcc metadata, so the dispatch loop can sample
-     branch direction from the terminator's returned EIP — keeping the
-     compiled closures themselves identical with and without chaining. *)
-  let chain_jcc_tgt, chain_jcc_site =
-    if not chain_enabled then ([||], [||])
-    else begin
-      let tgt = Array.make nblocks min_int in
-      let site = Array.make nblocks (-1) in
-      for b = 0 to nblocks - 1 do
-        let last = block_starts.(b) + block_lens.(b) - 1 in
-        match code.(last) with
-        | Insn.Jcc _ ->
-          tgt.(b) <- program.Program.targets.(last);
-          site.(b) <- last
-        | _ -> ()
-      done;
-      (tgt, site)
-    end
   in
   {
     regs = Registers.create ();
@@ -311,16 +219,6 @@ let create ?(engine = default_engine) ?chain ~mmu ~phys ~costs ~program () =
     fm_delta = Array.make 6 0;
     fm_writable = Array.make 6 false;
     fm_gen = Array.make 6 (-1);
-    chain_enabled;
-    chains = (if chain_enabled then Array.make nblocks None else [||]);
-    chain_execs = (if chain_enabled then Array.make nblocks 0 else [||]);
-    jcc_taken =
-      (if chain_enabled then Array.make (Array.length code) 0 else [||]);
-    jcc_fall =
-      (if chain_enabled then Array.make (Array.length code) 0 else [||]);
-    chain_jcc_tgt;
-    chain_jcc_site;
-    fuse_sub = 0;
   }
 
 (* Attach (or detach) the trace sink: the CPU and its MMU share it, so
@@ -348,14 +246,6 @@ let mmu t = t.mmu
 let phys t = t.phys
 let program t = t.program
 let engine t = t.engine
-let chaining t = t.chain_enabled
-
-(* Chains installed on this CPU (derived cache introspection: snapshot
-   tests assert a restored CPU starts at zero and re-derives). *)
-let chain_count t =
-  Array.fold_left
-    (fun acc c -> match c with Some _ -> acc + 1 | None -> acc)
-    0 t.chains
 
 let eip t = t.eip
 
@@ -452,19 +342,7 @@ let import_state t (p : persisted) =
        t.prof_hits <- Array.make (Array.length t.code) 0;
      List.iter (fun (i, h) -> t.prof_hits.(i) <- h) sites);
   Array.fill t.fm_page 0 6 (-1);
-  Array.fill t.fm_gen 0 6 (-1);
-  (* Chains and the branch-bias counters that seed them are a derived
-     cache over observed behaviour, not architectural state: drop them
-     with the fast path so a restored CPU re-derives its layout from
-     post-restore execution (and a freshly [create]d CPU trivially
-     starts empty). *)
-  let ncb = Array.length t.chains in
-  if ncb > 0 then begin
-    Array.fill t.chains 0 ncb None;
-    Array.fill t.chain_execs 0 ncb 0;
-    Array.fill t.jcc_taken 0 (Array.length t.jcc_taken) 0;
-    Array.fill t.jcc_fall 0 (Array.length t.jcc_fall) 0
-  end
+  Array.fill t.fm_gen 0 6 (-1)
 
 (* --- the flattened hot path -------------------------------------------- *)
 
@@ -626,11 +504,11 @@ let[@inline] seg_slot (s : Seghw.Segreg.name) =
    [tr] is the event sink consulted by the emit sites. The stepping
    engines pass [mmu.trace]; compiled block closures pass a literal
    [None], which is exact, not an approximation: those closures only
-   ever execute in [run]'s untraced [Block] arm ([t.sink = None]) —
-   directly or spliced into a chain — and [set_sink] sets [t.sink]
-   and [mmu.trace] together, so [mmu.trace] is provably [None]
-   whenever one runs. A traced [Block] CPU steps through [exec], and
-   therefore [translate]'s live [mmu.trace]. *)
+   ever execute in [run]'s untraced [Block] arm ([t.sink = None]),
+   and [set_sink] sets [t.sink] and [mmu.trace] together, so
+   [mmu.trace] is provably [None] whenever one runs. A traced [Block]
+   CPU steps through [exec], and therefore [translate]'s live
+   [mmu.trace]. *)
 let[@inline] translate_via t mmu sr k ~tr ~seg_name ~offset ~size ~write =
   mmu.Seghw.Mmu.limit_checks <- mmu.Seghw.Mmu.limit_checks + 1;
   let off = offset land 0xFFFFFFFF in
@@ -1312,10 +1190,7 @@ let step_predecoded t =
    across every machine running the same [Program.t]. A segment
    register's mirror is re-read from the running CPU's [mmu] per call
    ([seg_field] is a six-way constant-tag match, not a table walk), so
-   it always reflects current descriptor state. Per-CPU capture lives
-   on in [fuse_block]: chained closures are recompiled per CPU and
-   capture that CPU's arrays on purpose, so steady-state hot loops
-   keep their capture performance. *)
+   it always reflects current descriptor state. *)
 
 (* Physical-address closure for one memory operand: addressing shape,
    default segment, and fast-path slot resolved now; the returned
@@ -1850,10 +1725,7 @@ let compile_term code targets idx : t -> int =
   | Insn.Jcc (c, _) ->
     (* The hot conditions are resolved to direct flag reads — each
        formula is [cond_holds]'s own line for that constructor, and the
-       branch-direction equivalence suites pin them to it. Chaining
-       does NOT instrument this closure: bias is sampled by the
-       dispatch loop from the returned EIP (chain_jcc_tgt), so chained
-       and unchained CPUs execute identical code. *)
+       branch-direction equivalence suites pin them to it. *)
     let tgt = Array.get targets idx in
     (match c with
      | Insn.Eq -> fun cpu -> if cpu.zf then tgt else next
@@ -1890,12 +1762,10 @@ let compile_term code targets idx : t -> int =
    identity. Every machine executing the same linked program (fleet
    re-checks, warm-pool restores, the serve loop's request machines)
    binds the one shared set instead of recompiling; [blocks_bound_total]
-   counts those rebinds, the build counters only real compiles. Chains
-   stay per-CPU derived caches ([fuse_block] captures the owning CPU's
-   arrays on purpose). Compilation happens under the lock — it is a
-   few microseconds of closure allocation, and holding the lock gives
-   the strict at-most-once-per-program guarantee the serve-scale tests
-   pin.
+   counts those rebinds, the build counters only real compiles.
+   Compilation happens under the lock — it is a few microseconds of
+   closure allocation, and holding the lock gives the strict
+   at-most-once-per-program guarantee the serve-scale tests pin.
 
    The table is an ephemeron keyed on the [Program.t] record: an entry
    lives exactly as long as its program does, and is swept by the GC
@@ -1943,534 +1813,6 @@ let build_ublocks t =
               : int);
           ub);
   t.ublocks_ready <- true
-
-(* --- block chaining ----------------------------------------------------- *)
-
-(* Dispatches of a head before each chain-build attempt (power of two:
-   the counter is tested with [land]), the minimum Jcc observations
-   before its bias is trusted, and the bias threshold (>= 15/16 one
-   way). A chain caps at 64 blocks — past that the win per extra block
-   is noise and a mispredicted tail just exits early anyway. *)
-let chain_build_mask = 63
-let chain_min_samples = 24
-let chain_bias_num = 15
-let chain_bias_den = 16
-let chain_max_blocks = 64
-
-(* The hot successor of block [b], as a code index, or -1: the unique
-   target for static terminators (Jmp, Call, a segment-register load —
-   whose closure commits all its architectural effects itself and falls
-   through — or an ordinary instruction ending the block because the
-   next one is a branch target), the dominant direction for a Jcc whose
-   observed bias clears the threshold, and none for chain-enders — Ret
-   (dynamic target), Halt, gates/syscalls, and host calls must re-enter
-   the dispatch loop, both because their successor is unknowable here
-   and because kernel/host code may observe state (clocks, retire
-   counters) the chain runner's deferred commits would leave stale.
-   Chaining through [Mov_to_seg] is what lets Cash's hot loops — which
-   reload an array's segment register mid-body — run as one chain. *)
-let hot_successor t b =
-  let last = t.block_starts.(b) + t.block_lens.(b) - 1 in
-  match t.code.(last) with
-  | Insn.Jmp _ | Insn.Call _ -> t.targets.(last)
-  | Insn.Jcc _ ->
-    let tk = t.jcc_taken.(last) and fl = t.jcc_fall.(last) in
-    let total = tk + fl in
-    if total < chain_min_samples then -1
-    else if tk * chain_bias_den >= total * chain_bias_num then t.targets.(last)
-    else if fl * chain_bias_den >= total * chain_bias_num then last + 1
-    else -1
-  | Insn.Ret | Insn.Halt | Insn.Lcall_gate _
-  | Insn.Int_syscall _ | Insn.Callext _ -> -1
-  | _ -> last + 1
-
-(* --- chain-time superinstruction fusion --------------------------------
-
-   The chained closure set is recompiled from [code] rather than blitted
-   from [ublocks]: adjacent instructions matching one of the peephole
-   patterns in [fuse_block] collapse into a single flat closure, so a
-   hot chained pass pays one dispatch call per *pattern* instead of per
-   instruction. The megamorphic indirect call is the dominant
-   interpreter cost (measured ~2.75ns of ~6.4ns/insn on the bench host;
-   EXPERIMENTS.md PR 6), and — unlike the loop bookkeeping, which
-   measures as free — it is exactly what fusion removes. Patterns come
-   from the Cash backend's actual hot-loop output: stack-slot reloads
-   around array accesses, push/pop traffic, the slot increment, and the
-   compare-and-branch closing every counted loop.
-
-   Exactness: each fused body is its constituent [compile_insn] bodies
-   spliced in program order — the same [translate_via] calls (so
-   limit-check and TLB counters advance identically), the same flag
-   formulas, the same stat bumps. Fault precision comes from
-   [t.fuse_sub]: the chain dispatch loop zeroes it before every op, a
-   fused body stores [m] before running its [m]th constituent, and the
-   unwind handler retires [c_base.(op) + fuse_sub] instructions of the
-   faulting block — EIP lands on the exact constituent, bit-identical
-   to the stepping engines. *)
-
-(* A memory operand's addressing shape as data: fused bodies compute
-   offsets with one short, predictable match instead of the per-operand
-   closure call [compile_addr] would cost them. *)
-type ashape =
-  | A_base of int * int                (* gp slot, disp *)
-  | A_base_x of int * int * int * int  (* base slot, index slot, scale, disp *)
-  | A_x of int * int * int             (* index slot, scale, disp *)
-  | A_abs of int                       (* disp, pre-masked *)
-
-let[@inline] ashape_off gp = function
-  | A_base (bi, d) -> (Array.unsafe_get gp bi + d) land 0xFFFFFFFF
-  | A_base_x (bi, xi, sc, d) ->
-    (Array.unsafe_get gp bi + (Array.unsafe_get gp xi * sc) + d)
-    land 0xFFFFFFFF
-  | A_x (xi, sc, d) -> ((Array.unsafe_get gp xi * sc) + d) land 0xFFFFFFFF
-  | A_abs d -> d
-
-let ashape_of (m : Insn.mem) =
-  match (m.Insn.base, m.Insn.index) with
-  | Some b, None -> A_base (reg_index b, m.Insn.disp)
-  | Some b, Some (x, sc) ->
-    A_base_x (reg_index b, reg_index x, sc, m.Insn.disp)
-  | None, Some (x, sc) -> A_x (reg_index x, sc, m.Insn.disp)
-  | None, None -> A_abs (m.Insn.disp land 0xFFFFFFFF)
-
-(* The two 32-bit memory micro-ops every fused body is built from —
-   [compile_insn]'s own load/store sequence, shared so the fused
-   patterns cannot drift from it. *)
-let[@inline] fuse_ld32 cpu gp ph mmu sr k seg sh di =
-  let off = ashape_off gp sh in
-  let phys =
-    translate_via cpu mmu sr k ~tr:None ~seg_name:seg ~offset:off ~size:4
-      ~write:false
-  in
-  Array.unsafe_set gp di (p_read32 ph phys)
-
-let[@inline] fuse_st32 cpu gp ph mmu sr k seg sh si =
-  let off = ashape_off gp sh in
-  let phys =
-    translate_via cpu mmu sr k ~tr:None ~seg_name:seg ~offset:off ~size:4
-      ~write:true
-  in
-  p_write32 ph phys (Array.unsafe_get gp si)
-
-(* Recompile block [b] for the chained closure set. Returns the ops,
-   the per-op block-relative index of each op's first instruction, and
-   the op count. An op covering the block's (ordinary) last instruction
-   returns the fall-through EIP, exactly as [compile_term] bakes it;
-   the fused compare-and-branch returns the branch decision itself.
-   Anything unmatched reuses the block's existing [ublocks] closure, so
-   fusion can only narrow, never change, behaviour. *)
-let fuse_block t b =
-  let start = t.block_starts.(b) and len = t.block_lens.(b) in
-  let code = t.code in
-  let gp = t.regs.Registers.gp in
-  let ph = t.phys in
-  let mmu = t.mmu in
-  let kss = seg_slot Seghw.Segreg.SS in
-  let ssr = mmu.Seghw.Mmu.ss in
-  let ublk = t.ublocks.(b) in
-  (* Resolve a memory operand once, at fuse time. *)
-  let addr m =
-    let seg = default_seg m in
-    (seg, seg_field mmu seg, seg_slot seg, ashape_of m)
-  in
-  let fuse_triple j ret =
-    if j + 3 > len then None
-    else
-      match (code.(start + j), code.(start + j + 1), code.(start + j + 2)) with
-      (* The slot increment: load a stack slot, ALU it with an
-         immediate, store it back. One op, still two translations (the
-         limit-check and TLB counters are architectural). The base
-         register must survive the load for the store address to be the
-         same slot. *)
-      | ( Insn.Mov
-            ( Insn.Long,
-              Insn.Reg d,
-              Insn.Mem ({ Insn.base = Some rb; Insn.index = None; _ } as m1) ),
-          Insn.Alu (op, Insn.Reg d2, Insn.Imm i),
-          Insn.Mov
-            ( Insn.Long,
-              Insn.Mem ({ Insn.base = Some rb3; Insn.index = None; _ } as m3),
-              Insn.Reg s3 ) )
-        when d2 = d && s3 = d && rb3 = rb && rb <> d
-             && m3.Insn.disp = m1.Insn.disp && m3.Insn.seg = m1.Insn.seg ->
-        let seg = default_seg m1 in
-        let sr = seg_field mmu seg and k = seg_slot seg in
-        let bi = reg_index rb and di = reg_index d in
-        let disp = m1.Insn.disp and bv = i land 0xFFFFFFFF in
-        Some
-          ( (fun cpu ->
-              let off = (Array.unsafe_get gp bi + disp) land 0xFFFFFFFF in
-              let phys =
-                translate_via cpu mmu sr k ~tr:None ~seg_name:seg ~offset:off
-                  ~size:4 ~write:false
-              in
-              Array.unsafe_set gp di (p_read32 ph phys);
-              cpu.fuse_sub <- 1;
-              Array.unsafe_set gp di
-                (alu_result cpu op (Array.unsafe_get gp di) bv
-                 land 0xFFFFFFFF);
-              cpu.fuse_sub <- 2;
-              let off2 = (Array.unsafe_get gp bi + disp) land 0xFFFFFFFF in
-              let phys2 =
-                translate_via cpu mmu sr k ~tr:None ~seg_name:seg ~offset:off2
-                  ~size:4 ~write:true
-              in
-              p_write32 ph phys2 (Array.unsafe_get gp di);
-              ret),
-            3 )
-      | _ -> None
-  in
-  let fuse_pair j ret =
-    match (code.(start + j), code.(start + j + 1)) with
-    (* Compare-and-branch: the pair that closes every counted loop,
-       fused into the terminator op itself. *)
-    | Insn.Cmp (ca, cb), Insn.Jcc (c, _) when ret <> 0 ->
-      let tgt = Array.get t.targets (start + j + 1) in
-      let next = start + j + 2 in
-      (match (ca, cb) with
-       | Insn.Reg ra, Insn.Imm i ->
-         let ai = reg_index ra and bv = i land 0xFFFFFFFF in
-         Some
-           ( (fun cpu ->
-               set_flags_sub cpu (Array.unsafe_get gp ai) bv;
-               if cond_holds cpu c then tgt else next),
-             2 )
-       | Insn.Reg ra, Insn.Reg rb ->
-         let ai = reg_index ra and bi = reg_index rb in
-         Some
-           ( (fun cpu ->
-               set_flags_sub cpu (Array.unsafe_get gp ai)
-                 (Array.unsafe_get gp bi);
-               if cond_holds cpu c then tgt else next),
-             2 )
-       | Insn.Mem m, Insn.Imm i ->
-         let seg, sr, k, sh = addr m in
-         let bv = i land 0xFFFFFFFF in
-         Some
-           ( (fun cpu ->
-               let off = ashape_off gp sh in
-               let phys =
-                 translate_via cpu mmu sr k ~tr:None ~seg_name:seg ~offset:off
-                   ~size:4 ~write:false
-               in
-               set_flags_sub cpu (p_read32 ph phys) bv;
-               if cond_holds cpu c then tgt else next),
-             2 )
-       | Insn.Mem m, Insn.Reg rb ->
-         let seg, sr, k, sh = addr m in
-         let bi = reg_index rb in
-         Some
-           ( (fun cpu ->
-               let off = ashape_off gp sh in
-               let phys =
-                 translate_via cpu mmu sr k ~tr:None ~seg_name:seg ~offset:off
-                   ~size:4 ~write:false
-               in
-               set_flags_sub cpu (p_read32 ph phys)
-                 (Array.unsafe_get gp bi);
-               if cond_holds cpu c then tgt else next),
-             2 )
-       | Insn.Reg ra, Insn.Mem m ->
-         let seg, sr, k, sh = addr m in
-         let ai = reg_index ra in
-         Some
-           ( (fun cpu ->
-               let av = Array.unsafe_get gp ai in
-               let off = ashape_off gp sh in
-               let phys =
-                 translate_via cpu mmu sr k ~tr:None ~seg_name:seg ~offset:off
-                   ~size:4 ~write:false
-               in
-               set_flags_sub cpu av (p_read32 ph phys);
-               if cond_holds cpu c then tgt else next),
-             2 )
-       | _ -> None)
-    (* Load-load: a stack-slot reload feeding an array access. *)
-    | ( Insn.Mov (Insn.Long, Insn.Reg d1, Insn.Mem m1),
-        Insn.Mov (Insn.Long, Insn.Reg d2, Insn.Mem m2) ) ->
-      let s1, r1, k1, h1 = addr m1 and di1 = reg_index d1 in
-      let s2, r2, k2, h2 = addr m2 and di2 = reg_index d2 in
-      Some
-        ( (fun cpu ->
-            fuse_ld32 cpu gp ph mmu r1 k1 s1 h1 di1;
-            cpu.fuse_sub <- 1;
-            fuse_ld32 cpu gp ph mmu r2 k2 s2 h2 di2;
-            ret),
-          2 )
-    (* Store-load and store-store: spill traffic in the 3-register
-       Cash configuration. *)
-    | ( Insn.Mov (Insn.Long, Insn.Mem m1, Insn.Reg s1),
-        Insn.Mov (Insn.Long, Insn.Reg d2, Insn.Mem m2) ) ->
-      let g1, r1, k1, h1 = addr m1 and si1 = reg_index s1 in
-      let g2, r2, k2, h2 = addr m2 and di2 = reg_index d2 in
-      Some
-        ( (fun cpu ->
-            fuse_st32 cpu gp ph mmu r1 k1 g1 h1 si1;
-            cpu.fuse_sub <- 1;
-            fuse_ld32 cpu gp ph mmu r2 k2 g2 h2 di2;
-            ret),
-          2 )
-    | ( Insn.Mov (Insn.Long, Insn.Mem m1, Insn.Reg s1),
-        Insn.Mov (Insn.Long, Insn.Mem m2, Insn.Reg s2) ) ->
-      let g1, r1, k1, h1 = addr m1 and si1 = reg_index s1 in
-      let g2, r2, k2, h2 = addr m2 and si2 = reg_index s2 in
-      Some
-        ( (fun cpu ->
-            fuse_st32 cpu gp ph mmu r1 k1 g1 h1 si1;
-            cpu.fuse_sub <- 1;
-            fuse_st32 cpu gp ph mmu r2 k2 g2 h2 si2;
-            ret),
-          2 )
-    (* Load feeding a memory-source ALU: the array-element accumulate. *)
-    | ( Insn.Mov (Insn.Long, Insn.Reg d1, Insn.Mem m1),
-        Insn.Alu (op, Insn.Reg d2, Insn.Mem m2) ) ->
-      let s1, r1, k1, h1 = addr m1 and di1 = reg_index d1 in
-      let s2, r2, k2, h2 = addr m2 and di2 = reg_index d2 in
-      Some
-        ( (fun cpu ->
-            fuse_ld32 cpu gp ph mmu r1 k1 s1 h1 di1;
-            cpu.fuse_sub <- 1;
-            let off = ashape_off gp h2 in
-            let phys =
-              translate_via cpu mmu r2 k2 ~tr:None ~seg_name:s2 ~offset:off
-                ~size:4 ~write:false
-            in
-            let bv = p_read32 ph phys in
-            Array.unsafe_set gp di2
-              (alu_result cpu op (Array.unsafe_get gp di2) bv
-               land 0xFFFFFFFF);
-            ret),
-          2 )
-    (* Memory-source ALU feeding a push: argument/accumulator setup. *)
-    | Insn.Alu (op, Insn.Reg d1, Insn.Mem m1), Insn.Push (Insn.Reg s2) ->
-      let s1, r1, k1, h1 = addr m1 and di1 = reg_index d1 in
-      let si2 = reg_index s2 in
-      Some
-        ( (fun cpu ->
-            let off = ashape_off gp h1 in
-            let phys =
-              translate_via cpu mmu r1 k1 ~tr:None ~seg_name:s1 ~offset:off
-                ~size:4 ~write:false
-            in
-            let bv = p_read32 ph phys in
-            Array.unsafe_set gp di1
-              (alu_result cpu op (Array.unsafe_get gp di1) bv
-               land 0xFFFFFFFF);
-            cpu.fuse_sub <- 1;
-            push32_via cpu mmu ssr kss ~tr:None Seghw.Segreg.SS
-              (Array.unsafe_get gp si2);
-            ret),
-          2 )
-    (* Register-only ALU feeding a store. *)
-    | Insn.Alu (op, Insn.Reg d1, Insn.Imm i), Insn.Mov (Insn.Long, Insn.Mem m2, Insn.Reg s2) ->
-      let di1 = reg_index d1 and bv = i land 0xFFFFFFFF in
-      let g2, r2, k2, h2 = addr m2 and si2 = reg_index s2 in
-      Some
-        ( (fun cpu ->
-            Array.unsafe_set gp di1
-              (alu_result cpu op (Array.unsafe_get gp di1) bv
-               land 0xFFFFFFFF);
-            cpu.fuse_sub <- 1;
-            fuse_st32 cpu gp ph mmu r2 k2 g2 h2 si2;
-            ret),
-          2 )
-    | Insn.Alu (op, Insn.Reg d1, Insn.Reg sr1), Insn.Mov (Insn.Long, Insn.Mem m2, Insn.Reg s2) ->
-      let di1 = reg_index d1 and bi1 = reg_index sr1 in
-      let g2, r2, k2, h2 = addr m2 and si2 = reg_index s2 in
-      Some
-        ( (fun cpu ->
-            Array.unsafe_set gp di1
-              (alu_result cpu op (Array.unsafe_get gp di1)
-                 (Array.unsafe_get gp bi1)
-               land 0xFFFFFFFF);
-            cpu.fuse_sub <- 1;
-            fuse_st32 cpu gp ph mmu r2 k2 g2 h2 si2;
-            ret),
-          2 )
-    (* Push/pop traffic around loads and stores. *)
-    | Insn.Push (Insn.Reg s1), Insn.Mov (Insn.Long, Insn.Reg d2, Insn.Mem m2) ->
-      let si1 = reg_index s1 in
-      let s2, r2, k2, h2 = addr m2 and di2 = reg_index d2 in
-      Some
-        ( (fun cpu ->
-            push32_via cpu mmu ssr kss ~tr:None Seghw.Segreg.SS
-              (Array.unsafe_get gp si1);
-            cpu.fuse_sub <- 1;
-            fuse_ld32 cpu gp ph mmu r2 k2 s2 h2 di2;
-            ret),
-          2 )
-    | Insn.Mov (Insn.Long, Insn.Reg d1, Insn.Mem m1), Insn.Push (Insn.Reg s2) ->
-      let s1, r1, k1, h1 = addr m1 and di1 = reg_index d1 in
-      let si2 = reg_index s2 in
-      Some
-        ( (fun cpu ->
-            fuse_ld32 cpu gp ph mmu r1 k1 s1 h1 di1;
-            cpu.fuse_sub <- 1;
-            push32_via cpu mmu ssr kss ~tr:None Seghw.Segreg.SS
-              (Array.unsafe_get gp si2);
-            ret),
-          2 )
-    | Insn.Mov (Insn.Long, Insn.Reg d1, Insn.Mem m1), Insn.Pop (Insn.Reg d2) ->
-      let s1, r1, k1, h1 = addr m1 and di1 = reg_index d1 in
-      let di2 = reg_index d2 in
-      Some
-        ( (fun cpu ->
-            fuse_ld32 cpu gp ph mmu r1 k1 s1 h1 di1;
-            cpu.fuse_sub <- 1;
-            Array.unsafe_set gp di2
-              (pop32_via cpu mmu ssr kss ~tr:None Seghw.Segreg.SS
-               land 0xFFFFFFFF);
-            ret),
-          2 )
-    | Insn.Pop (Insn.Reg d1), Insn.Mov (Insn.Long, Insn.Mem m2, Insn.Reg s2) ->
-      let di1 = reg_index d1 in
-      let g2, r2, k2, h2 = addr m2 and si2 = reg_index s2 in
-      Some
-        ( (fun cpu ->
-            Array.unsafe_set gp di1
-              (pop32_via cpu mmu ssr kss ~tr:None Seghw.Segreg.SS
-               land 0xFFFFFFFF);
-            cpu.fuse_sub <- 1;
-            fuse_st32 cpu gp ph mmu r2 k2 g2 h2 si2;
-            ret),
-          2 )
-    (* A stat label or register move in front of a load: the loop-body
-       preamble. *)
-    | Insn.Label _, Insn.Mov (Insn.Long, Insn.Reg d2, Insn.Mem m2) ->
-      let r = Array.get t.stat_refs (start + j) in
-      let s2, r2, k2, h2 = addr m2 and di2 = reg_index d2 in
-      Some
-        ( (fun cpu ->
-            incr r;
-            cpu.fuse_sub <- 1;
-            fuse_ld32 cpu gp ph mmu r2 k2 s2 h2 di2;
-            ret),
-          2 )
-    | ( Insn.Mov (Insn.Long, Insn.Reg d1, Insn.Reg s1),
-        Insn.Mov (Insn.Long, Insn.Reg d2, Insn.Mem m2) ) ->
-      let di1 = reg_index d1 and si1 = reg_index s1 in
-      let s2, r2, k2, h2 = addr m2 and di2 = reg_index d2 in
-      Some
-        ( (fun cpu ->
-            Array.unsafe_set gp di1 (Array.unsafe_get gp si1);
-            cpu.fuse_sub <- 1;
-            fuse_ld32 cpu gp ph mmu r2 k2 s2 h2 di2;
-            ret),
-          2 )
-    | ( Insn.Mov (Insn.Long, Insn.Reg d1, Insn.Imm i),
-        Insn.Mov (Insn.Long, Insn.Reg d2, Insn.Mem m2) ) ->
-      let di1 = reg_index d1 and v1 = i land 0xFFFFFFFF in
-      let s2, r2, k2, h2 = addr m2 and di2 = reg_index d2 in
-      Some
-        ( (fun cpu ->
-            Array.unsafe_set gp di1 v1;
-            cpu.fuse_sub <- 1;
-            fuse_ld32 cpu gp ph mmu r2 k2 s2 h2 di2;
-            ret),
-          2 )
-    | _ -> None
-  in
-  let rev_ops = ref [] and rev_base = ref [] and nops = ref 0 in
-  let emit op base =
-    rev_ops := op :: !rev_ops;
-    rev_base := base :: !rev_base;
-    incr nops
-  in
-  let j = ref 0 in
-  while !j < len do
-    let ret2 = if !j + 2 = len then start + len else 0 in
-    let ret3 = if !j + 3 = len then start + len else 0 in
-    match fuse_triple !j ret3 with
-    | Some (op, k) ->
-      emit op !j;
-      j := !j + k
-    | None -> (
-      match if !j + 2 <= len then fuse_pair !j ret2 else None with
-      | Some (op, k) ->
-        emit op !j;
-        j := !j + k
-      | None ->
-        emit ublk.(!j) !j;
-        incr j)
-  done;
-  (Array.of_list (List.rev !rev_ops), Array.of_list (List.rev !rev_base),
-   !nops)
-
-(* Build the chain rooted at [head]: follow hot successors until a
-   chain-ender, an unstable branch, a repeated block, or the cap, then
-   concatenate the member blocks' fused closures ([fuse_block]) into
-   one contiguous array. Returns [None] (and, for heads whose
-   terminator can never produce a stable successor, poisons the counter
-   so the dispatch loop stops retrying) when there is nothing to chain:
-   fewer than two blocks and no self-loop. *)
-let build_chain t head =
-  let limit = Array.length t.code in
-  let rec collect acc n b =
-    let s = if n >= chain_max_blocks then -1 else hot_successor t b in
-    if s < 0 || s >= limit then (List.rev acc, false)
-    else
-      let sb = t.block_at.(s) in
-      if sb < 0 then (List.rev acc, false)
-      else if sb = head then (List.rev acc, true)
-      else if List.mem sb acc then (List.rev acc, false)
-      else collect (sb :: acc) (n + 1) sb
-  in
-  let blocks, loops = collect [ head ] 1 head in
-  if (not loops) && List.compare_length_with blocks 2 < 0 then begin
-    (match t.code.(t.block_starts.(head) + t.block_lens.(head) - 1) with
-     | Insn.Ret | Insn.Halt | Insn.Lcall_gate _
-     | Insn.Int_syscall _ | Insn.Callext _ -> t.chain_execs.(head) <- -1
-     | _ -> ());
-    None
-  end
-  else begin
-    let ids = Array.of_list blocks in
-    let n = Array.length ids in
-    let c_starts = Array.map (fun b -> t.block_starts.(b)) ids in
-    let parts = Array.map (fun b -> fuse_block t b) ids in
-    let c_nops = Array.map (fun (_, _, nops) -> nops) parts in
-    let c_off = Array.make n 0 in
-    let c_pre_insns = Array.make (n + 1) 0 in
-    let c_pre_cycles = Array.make (n + 1) 0 in
-    let total_ops = ref 0 in
-    for i = 0 to n - 1 do
-      c_off.(i) <- !total_ops;
-      total_ops := !total_ops + c_nops.(i);
-      c_pre_insns.(i + 1) <- c_pre_insns.(i) + t.block_lens.(ids.(i));
-      c_pre_cycles.(i + 1) <- c_pre_cycles.(i) + t.block_cost.(ids.(i))
-    done;
-    let c_ops = Array.make !total_ops (fun (_ : t) -> 0) in
-    let c_base = Array.make !total_ops 0 in
-    Array.iteri
-      (fun i (ops, base, nops) ->
-        Array.blit ops 0 c_ops c_off.(i) nops;
-        Array.blit base 0 c_base c_off.(i) nops)
-      parts;
-    let c_expected =
-      Array.init n (fun i ->
-          if i + 1 < n then c_starts.(i + 1)
-          else if loops then c_starts.(0)
-          else -1)
-    in
-    ignore (Atomic.fetch_and_add chains_built_total 1 : int);
-    ignore (Atomic.fetch_and_add chain_blocks_total n : int);
-    ignore (Atomic.fetch_and_add chain_insns_total c_pre_insns.(n) : int);
-    Some
-      {
-        c_ops;
-        c_off;
-        c_starts;
-        c_nops;
-        c_base;
-        c_expected;
-        c_pre_insns;
-        c_pre_cycles;
-        c_blocks = n;
-        c_total_insns = c_pre_insns.(n);
-        c_total_cycles = c_pre_cycles.(n);
-        c_loop = loops;
-      }
-  end
 
 (* --- the reference engine (the equivalence oracle) --------------------- *)
 
@@ -2653,24 +1995,7 @@ let run ?(fuel = 4_000_000_000) t =
              unchanged. Entry at a non-block-start EIP (a RET to a
              computed address) and blocks straddling the fuel budget
              fall back to exact per-instruction stepping until the loop
-             re-synchronises on a block start.
-
-             With chaining on, a head whose chain is installed runs the
-             chain instead: member blocks execute back-to-back from the
-             contiguous closure array, with the instruction/cycle
-             commits deferred to pass boundaries (prefix sums on a
-             mid-pass exit) so a hot loop costs one dispatch and two
-             counter stores per pass, not per block. Correctness relies
-             on chained terminators (Jmp / biased Jcc / Call /
-             segment-register load / fall-through) never touching
-             [status] or reading the deferred counters; everything that
-             can — Ret, Halt, gates, host calls — ends a chain by
-             construction. A chain is entered only when one full pass
-             fits the remaining fuel; a mid-pass exit (unexpected Jcc
-             direction) just commits what ran and re-enters the
-             dispatch loop, and an exception unwinds through the same
-             handler as a plain block with the pass prefix committed
-             first — bit-exact per-instruction state either way. *)
+             re-synchronises on a block start. *)
           if not t.ublocks_ready then build_ublocks t;
           let code = t.code in
           let cost_tab = t.cost_tab in
@@ -2679,30 +2004,13 @@ let run ?(fuel = 4_000_000_000) t =
           let lens = t.block_lens in
           let bcost = t.block_cost in
           let ublocks = t.ublocks in
-          let chaining = t.chain_enabled in
-          let chains = t.chains in
-          let chain_execs = t.chain_execs in
           (* [j] counts completed closures of the block in flight, -1
              whenever execution is not inside a block (the
              per-instruction fallback keeps exact per-step commits on
              its own); [bstart] is that block's first instruction.
-             While a chain pass runs, [cstarts]/[cpre_i]/[cpre_c]
-             expose its block starts and prefix sums to the unwind
-             handler — the pass's earlier blocks are committed from one
-             prefix-sum read, so the chain's inner loop carries no
-             accumulators at all ([cstarts] empty = not in a chain).
              Hoisted: the hot loop allocates nothing. *)
-          let jcc_tgt = t.chain_jcc_tgt in
-          let jcc_site = t.chain_jcc_site in
-          let jtk = t.jcc_taken in
-          let jfl = t.jcc_fall in
           let j = ref (-1) in
           let bstart = ref 0 in
-          let cstarts = ref [||] in
-          let cpre_i = ref [||] in
-          let cpre_c = ref [||] in
-          let coffs = ref [||] in
-          let cbase = ref [||] in
           (try
              while (match t.status with Running -> true | _ -> false) do
                j := -1;
@@ -2710,163 +2018,45 @@ let run ?(fuel = 4_000_000_000) t =
                if eip < 0 || eip >= limit then
                  Seghw.Fault.gp (Printf.sprintf "EIP %d outside code" eip);
                let bid = Array.unsafe_get block_at eip in
-               let chain =
-                 if chaining && bid >= 0 then Array.unsafe_get chains bid
-                 else None
-               in
-               match chain with
-               | Some c when t.insns_executed + c.c_total_insns <= fuel ->
-                 let ops = c.c_ops in
-                 let offs = c.c_off in
-                 let starts = c.c_starts in
-                 let cnops = c.c_nops in
-                 let cexp = c.c_expected in
-                 let pre_i = c.c_pre_insns in
-                 let pre_c = c.c_pre_cycles in
-                 let nb = c.c_blocks in
-                 let total_i = c.c_total_insns in
-                 let total_c = c.c_total_cycles in
-                 cstarts := starts;
-                 cpre_i := pre_i;
-                 cpre_c := pre_c;
-                 coffs := offs;
-                 cbase := c.c_base;
-                 let finished = ref false in
-                 while not !finished do
-                   let bi = ref 0 in
-                   let live = ref true in
-                   while !live && !bi < nb do
-                     let off = Array.unsafe_get offs !bi in
-                     let n1 = Array.unsafe_get cnops !bi - 1 in
-                     bstart := Array.unsafe_get starts !bi;
-                     j := 0;
-                     while !j < n1 do
-                       t.fuse_sub <- 0;
-                       ignore ((Array.unsafe_get ops (off + !j)) t : int);
-                       incr j
-                     done;
-                     t.fuse_sub <- 0;
-                     let next = (Array.unsafe_get ops (off + n1)) t in
-                     j := -1;
-                     if next = Array.unsafe_get cexp !bi then incr bi
-                     else begin
-                       (* Mid-pass exit (unstable branch, Ret tail):
-                          commit the completed prefix, this block
-                          included, from the prefix sums. *)
-                       t.eip <- next;
-                       t.insns_executed <-
-                         t.insns_executed + Array.unsafe_get pre_i (!bi + 1);
-                       t.cycles <-
-                         t.cycles + Array.unsafe_get pre_c (!bi + 1);
-                       live := false;
-                       finished := true
-                     end
-                   done;
-                   if !live then begin
-                     (* Full pass completed: commit it whole. Only a
-                        looping chain ends a pass live (a non-loop tail
-                        expects -1, which no terminator returns): go
-                        around again while a whole pass still fits the
-                        fuel budget, else park on the head and let the
-                        dispatch loop finish the tail per-block /
-                        per-instruction. *)
-                     t.insns_executed <- t.insns_executed + total_i;
-                     t.cycles <- t.cycles + total_c;
-                     if t.insns_executed + total_i > fuel then begin
-                       t.eip <- Array.unsafe_get starts 0;
-                       finished := true
-                     end
-                   end
+               if
+                 bid >= 0
+                 && t.insns_executed + Array.unsafe_get lens bid <= fuel
+               then begin
+                 let blk = Array.unsafe_get ublocks bid in
+                 let n1 = Array.length blk - 1 in
+                 bstart := eip;
+                 j := 0;
+                 while !j < n1 do
+                   ignore ((Array.unsafe_get blk !j) t : int);
+                   incr j
                  done;
-                 cstarts := [||]
-               | _ ->
-                 if
-                   bid >= 0
-                   && t.insns_executed + Array.unsafe_get lens bid <= fuel
-                 then begin
-                   let blk = Array.unsafe_get ublocks bid in
-                   let n1 = Array.length blk - 1 in
-                   bstart := eip;
-                   j := 0;
-                   while !j < n1 do
-                     ignore ((Array.unsafe_get blk !j) t : int);
-                     incr j
-                   done;
-                   let next = (Array.unsafe_get blk n1) t in
-                   t.eip <- next;
-                   t.insns_executed <- t.insns_executed + n1 + 1;
-                   t.cycles <- t.cycles + Array.unsafe_get bcost bid;
-                   if chaining then begin
-                     (* Unchained head (a present chain means only fuel
-                        kept us out of it): sample the terminator's
-                        direction for Jcc layout decisions — off the
-                        returned EIP, so the closures stay
-                        uninstrumented — and periodically try to grow a
-                        chain. [-1] poisons heads that can never
-                        chain. *)
-                     match Array.unsafe_get chains bid with
-                     | Some _ -> ()
-                     | None ->
-                       let e = Array.unsafe_get chain_execs bid in
-                       if e >= 0 then begin
-                         let tgt = Array.unsafe_get jcc_tgt bid in
-                         (if tgt <> min_int then begin
-                            let site = Array.unsafe_get jcc_site bid in
-                            if next = tgt then
-                              Array.unsafe_set jtk site
-                                (Array.unsafe_get jtk site + 1)
-                            else
-                              Array.unsafe_set jfl site
-                                (Array.unsafe_get jfl site + 1)
-                          end);
-                         let e = e + 1 in
-                         Array.unsafe_set chain_execs bid e;
-                         if e land chain_build_mask = 0 then
-                           Array.unsafe_set chains bid (build_chain t bid)
-                       end
-                   end
-                 end
-                 else begin
-                   if t.insns_executed >= fuel then raise Out_of_fuel;
-                   let next = exec t eip (Array.unsafe_get code eip) in
-                   t.eip <- next;
-                   t.insns_executed <- t.insns_executed + 1;
-                   t.cycles <- t.cycles + Array.unsafe_get cost_tab eip
-                 end
+                 let next = (Array.unsafe_get blk n1) t in
+                 t.eip <- next;
+                 t.insns_executed <- t.insns_executed + n1 + 1;
+                 t.cycles <- t.cycles + Array.unsafe_get bcost bid
+               end
+               else begin
+                 if t.insns_executed >= fuel then raise Out_of_fuel;
+                 let next = exec t eip (Array.unsafe_get code eip) in
+                 t.eip <- next;
+                 t.insns_executed <- t.insns_executed + 1;
+                 t.cycles <- t.cycles + Array.unsafe_get cost_tab eip
+               end
              done
            with e ->
-             (* Unwinding out of a block: if it ran inside a chain pass
-                ([cstarts] non-empty), the pass's earlier blocks commit
-                from the chain's prefix sums (the faulting block's slot
-                is found by its start index — chain members are
-                distinct); then the faulting op's completed
-                constituents retire — its first instruction's
-                block-relative index ([c_base]) plus the fused
-                sub-instruction cursor ([fuse_sub], zeroed by the
-                dispatch loop before every op). Outside a chain, [!j]
-                ops are [!j] instructions (plain blocks never fuse).
-                Either way EIP comes to rest on the exact faulting
-                instruction. *)
-             (if !j >= 0 then begin
-                let st = !cstarts in
-                if Array.length st > 0 then begin
-                  let bi = ref 0 in
-                  while Array.unsafe_get st !bi <> !bstart do incr bi done;
-                  t.insns_executed <- t.insns_executed + (!cpre_i).(!bi);
-                  t.cycles <- t.cycles + (!cpre_c).(!bi);
-                  let op = (!coffs).(!bi) + !j in
-                  commit_partial t !bstart ((!cbase).(op) + t.fuse_sub)
-                end
-                else commit_partial t !bstart !j
-              end);
+             (* Unwinding out of a block: [!j] instructions of it
+                completed; the one at [!bstart + !j] (body or
+                terminator) faulted unretired, and EIP comes to rest on
+                it. *)
+             (if !j >= 0 then commit_partial t !bstart !j);
              raise e)
         | (Predecoded | Block), Some _ ->
           (* The traced stepping variant, for both fast engines:
              identical commits plus one per-site retire count, the
              profiler's raw input. [prof_hits] is sized to [code] by
              [set_sink]. A traced [Block] CPU neither builds nor enters
-             superblocks or chains, and its per-segment fast path
-             emits the same events as the TLB probe it skips. *)
+             superblocks, and its per-segment fast path emits the same
+             events as the TLB probe it skips. *)
           let code = t.code in
           let cost_tab = t.cost_tab in
           let prof = t.prof_hits in

@@ -39,10 +39,8 @@ type t
 
 exception Out_of_fuel
 
-(** [chain] overrides the process-wide {!set_chaining} default for this
-    CPU (meaningful only under {!Block}). *)
 val create :
-  ?engine:engine -> ?chain:bool -> mmu:Seghw.Mmu.t -> phys:Phys_mem.t ->
+  ?engine:engine -> mmu:Seghw.Mmu.t -> phys:Phys_mem.t ->
   costs:Cost_model.t -> program:Program.t -> unit -> t
 
 (** Install the kernel entry point dispatching `int n` and call-gate far
@@ -118,40 +116,9 @@ val block_insns_compiled : unit -> int
     one program should show {!blocks_built} constant while this grows. *)
 val blocks_bound : unit -> int
 
-(** {2 Block chaining}
-
-    Under the {!Block} engine, once a block has dispatched often enough
-    the CPU follows its terminator's stable successor — statically for
-    Jmp/Call/fall-through, by observed branch bias for Jcc — and lays
-    the successor blocks' compiled closures out contiguously, so the
-    whole hot region (typically a loop) executes as a single dispatch
-    with one deferred instruction/cycle commit per chain exit. Chains
-    are a derived cache: enabling or disabling them changes nothing
-    observable (state, cycles, traces, faults are bit-identical), only
-    host throughput. A fuel straddle, an off-bias branch, or any fault
-    mid-chain unwinds to exact per-instruction state. *)
-
-(** Process-wide default for new {!Block} CPUs (on unless told
-    otherwise); read once per {!create}, so flipping it cannot race a
-    running CPU. *)
-val set_chaining : bool -> unit
-
-val chaining_enabled : unit -> bool
-
-(** Whether this CPU was created with chaining on. *)
-val chaining : t -> bool
-
-(** Chains currently installed on this CPU (a restored CPU starts at 0
-    and re-derives). *)
-val chain_count : t -> int
-
-(** Chains built / member blocks linked / instructions covered, summed
-    across all CPUs and domains of this process — BENCH schema 5's
-    ["chains_built"] / ["avg_chain_blocks"] / ["avg_chain_insns"]
-    inputs. Host-side accounting only. *)
+(** Both always 0: perfbench/common.ml:138-139 still reads them. *)
 val chains_built : unit -> int
 
-val chain_blocks_linked : unit -> int
 val chain_insns_linked : unit -> int
 
 (** {2 Tracing and profiling}
@@ -161,8 +128,8 @@ val chain_insns_linked : unit -> int
     register loads, limit checks, TLB hits/misses/evictions, and
     exactly one [Fault] event per architectural fault caught by {!run}.
     It also switches {!run} to the traced stepping loop, which executes
-    one instruction at a time under either fast engine (no superblocks
-    or chains) and counts per-site retires for the cycle profiler.
+    one instruction at a time under either fast engine (no superblocks)
+    and counts per-site retires for the cycle profiler.
     Tracing never changes simulated semantics: cycles, stat counters,
     registers, and memory are bit-identical with and without a sink
     (pinned by the oracle suite in [test/test_predecode.ml]). *)

@@ -40,7 +40,7 @@ let write_string_at phys mmu ~linear s =
       Machine.Phys_mem.write8 phys p (Char.code c))
     s
 
-let load ?engine ?chain ~kernel (prog : Machine.Program.t) =
+let load ?engine ~kernel (prog : Machine.Program.t) =
   let ldt = Seghw.Descriptor_table.create Seghw.Descriptor_table.Ldt_table in
   let mmu = Seghw.Mmu.create ~gdt:(Kernel.gdt kernel) ~ldt in
   let phys = Machine.Phys_mem.create () in
@@ -64,7 +64,7 @@ let load ?engine ?chain ~kernel (prog : Machine.Program.t) =
       | None -> ())
     prog.Machine.Program.data;
   let cpu =
-    Machine.Cpu.create ?engine ?chain ~mmu ~phys ~costs:(Kernel.costs kernel)
+    Machine.Cpu.create ?engine ~mmu ~phys ~costs:(Kernel.costs kernel)
       ~program:prog ()
   in
   Machine.Registers.set (Machine.Cpu.regs cpu) Machine.Registers.ESP

@@ -21,10 +21,8 @@ val created_at : t -> int
 val terminated_at : t -> int
 
 (** [engine] selects the CPU interpreter ({!Machine.Cpu.default_engine}
-    by default; {!Machine.Cpu.Reference} for the equivalence oracle);
-    [chain] overrides the process-wide block-chaining default for this
-    CPU (meaningful only under {!Machine.Cpu.Block}). *)
-val load : ?engine:Machine.Cpu.engine -> ?chain:bool -> kernel:Kernel.t ->
+    by default; {!Machine.Cpu.Reference} for the equivalence oracle). *)
+val load : ?engine:Machine.Cpu.engine -> kernel:Kernel.t ->
   Machine.Program.t -> t
 
 (** Run to completion; advances the kernel's global clock by the cycles

@@ -589,6 +589,11 @@ let restore_body ~target ~(program : Machine.Program.t) (r : reader) =
   expect_tag r tag_phys "physical memory";
   let hw = r_int r "physical memory" in
   if hw < 0 then raise (Error (Corrupt "negative high water"));
+  (* Past the simulated 32-bit physical address space the doubling
+     below overflows (and never exits) or asks the host for a buffer it
+     cannot allocate. *)
+  if hw > 1 lsl 32 then
+    raise (Error (Corrupt "high water beyond the 32-bit physical space"));
   let ph = Osim.Process.phys process in
   let len = ref (1 lsl 20) in
   while hw > !len do

@@ -15,6 +15,7 @@
    - control transfer into the middle of a region (a Ret to a computed
      address that is not a block start) — the per-instruction fallback
      until the engine re-synchronises on a block start;
+   - the same three interruptions deep inside a hot loop;
    - segment-register reloads between accesses — the per-segment memory
      fast path must not serve a translation for the old base;
    - TLB conflict evictions under the fast path — the generation
@@ -68,14 +69,13 @@ let outcome_str = function
   | Status Cpu.Running -> "running"
   | Status (Cpu.Faulted f) -> "faulted: " ^ Seghw.Fault.to_string f
 
-let run_one ~engine ?chain ?map_size ?(fuel = 1_000_000)
+let run_one ~engine ?map_size ?(fuel = 1_000_000)
     ?(setup = fun _ -> ()) insns =
   let mmu = env ?map_size () in
   let phys = Phys_mem.create () in
   let program = Program.link ~entry:"main" (Insn.Label "main" :: insns) in
   let cpu =
-    Cpu.create ~engine ?chain ~mmu ~phys ~costs:Cost_model.pentium3 ~program
-      ()
+    Cpu.create ~engine ~mmu ~phys ~costs:Cost_model.pentium3 ~program ()
   in
   Registers.set (Cpu.regs cpu) Registers.ESP 0x8000;
   setup cpu;
@@ -87,10 +87,8 @@ let run_one ~engine ?chain ?map_size ?(fuel = 1_000_000)
 (* Run [insns] under the block engine and the reference oracle on fresh
    machines and assert every observable equal; returns the block-engine
    CPU for extra assertions. *)
-let check ?chain ?map_size ?fuel ?setup name insns =
-  let blk, ob =
-    run_one ~engine:Cpu.Block ?chain ?map_size ?fuel ?setup insns
-  in
+let check ?map_size ?fuel ?setup name insns =
+  let blk, ob = run_one ~engine:Cpu.Block ?map_size ?fuel ?setup insns in
   let orc, oo = run_one ~engine:Cpu.Reference ?map_size ?fuel ?setup insns in
   Alcotest.(check string) (name ^ ": outcome") (outcome_str oo)
     (outcome_str ob);
@@ -355,21 +353,21 @@ let test_tlb_gen_counter () =
   Seghw.Tlb.flush t;
   Alcotest.(check bool) "flush bumps" true (t.Seghw.Tlb.gen > g2)
 
-(* --- chained execution --------------------------------------------------- *)
+(* --- hot loops ------------------------------------------------------------ *)
 
-(* The tests below all use two-block loops hot enough to chain: the
-   builder fires on the 64th unchained dispatch of the head block, and
-   by then the back-edge Jcc has accumulated well past the 24-sample
-   15/16 bias it needs, so every later iteration runs the whole loop as
-   one chain pass without re-entering the dispatch loop. Each test then
-   pins one way a chain pass can be interrupted and compares against
-   the reference oracle instruction-for-instruction. *)
+(* The tests below all use two-block loops run for hundreds of
+   iterations, so the block engine dispatches the same two superblocks
+   back to back with the back-edge Jcc taken every time but the last.
+   Each test pins one way a hot loop can be interrupted — a fault deep
+   in the loop, fuel running out at any iteration, a Ret into a loop
+   block — and compares against the reference oracle
+   instruction-for-instruction. *)
 
 let hot_iters = 300
 
-let test_chain_forms_and_is_exact () =
+let test_hot_loop_is_exact () =
   let cpu =
-    check ~chain:true "chain/forms"
+    check "hot-loop/exact"
       Insn.[
         Mov (Long, Reg Registers.ECX, Imm hot_iters);
         Label "loop";
@@ -383,36 +381,18 @@ let test_chain_forms_and_is_exact () =
         Halt;
       ]
   in
-  Alcotest.(check bool) "a chain was built" true (Cpu.chain_count cpu > 0);
   Alcotest.(check int) "loop result" (2 * hot_iters)
     (Registers.get (Cpu.regs cpu) Registers.EAX)
 
-let test_chain_off_builds_nothing () =
-  let cpu =
-    check ~chain:false "chain/off"
-      Insn.[
-        Mov (Long, Reg Registers.ECX, Imm hot_iters);
-        Label "loop";
-        Alu (Add, Reg Registers.EAX, Imm 2);
-        Jmp "body";
-        Label "body";
-        Alu (Sub, Reg Registers.ECX, Imm 1);
-        Cmp (Reg Registers.ECX, Imm 0);
-        Jcc (Gt, "loop");
-        Halt;
-      ]
-  in
-  Alcotest.(check int) "no chains with chaining off" 0 (Cpu.chain_count cpu)
-
 (* A store through EBX walks 0x100 bytes per iteration from 0x1000: it
    crosses the 0x10000 mapping limit around iteration 240, deep inside
-   chained execution. The faulting store is the FIRST instruction of
-   the chained successor (the fall-through block after a never-taken
-   Jcc), so the unwind must commit the head block from the chain's
-   prefix sums and zero instructions of the successor. *)
-let test_chained_fault_first_insn () =
+   the hot loop. The faulting store is the FIRST instruction of the
+   loop's second block (the fall-through block after a never-taken
+   Jcc), so the unwind must keep the first block's commit and retire
+   zero instructions of the second. *)
+let test_hot_loop_fault_first_insn () =
   let cpu =
-    check ~chain:true "chain/fault-first"
+    check "hot-loop/fault-first"
       Insn.[
         Mov (Long, Reg Registers.EBX, Imm 0x1000);
         Mov (Long, Reg Registers.ECX, Imm 400);
@@ -429,18 +409,16 @@ let test_chained_fault_first_insn () =
         Halt;
       ]
   in
-  Alcotest.(check bool) "chain built before the fault" true
-    (Cpu.chain_count cpu > 0);
   match Cpu.status cpu with
   | Cpu.Faulted _ -> ()
   | _ -> Alcotest.fail "expected a fault"
 
 (* Same walk, but the faulting store is the LAST instruction of the
-   chained successor before its terminator: everything in the chain
-   pass up to and including the preceding instructions must commit. *)
-let test_chained_fault_last_insn () =
+   loop's second block before its terminator: every instruction of the
+   iteration up to the store must commit. *)
+let test_hot_loop_fault_last_insn () =
   let cpu =
-    check ~chain:true "chain/fault-last"
+    check "hot-loop/fault-last"
       Insn.[
         Mov (Long, Reg Registers.EBX, Imm 0x1000);
         Mov (Long, Reg Registers.ECX, Imm 400);
@@ -457,17 +435,15 @@ let test_chained_fault_last_insn () =
         Halt;
       ]
   in
-  Alcotest.(check bool) "chain built before the fault" true
-    (Cpu.chain_count cpu > 0);
   match Cpu.status cpu with
   | Cpu.Faulted _ -> ()
   | _ -> Alcotest.fail "expected a fault"
 
-(* Fuel expiring around and inside chained execution, at every
-   alignment: the engine must refuse a chain pass it cannot afford and
-   fall back to per-block and per-instruction dispatch, never
-   overrunning the budget and never diverging from the oracle. *)
-let test_chain_fuel_straddle () =
+(* Fuel expiring across the iterations of a hot loop, at every
+   alignment: the engine must refuse a block it cannot afford and fall
+   back to per-instruction stepping, never overrunning the budget and
+   never diverging from the oracle. *)
+let test_hot_loop_fuel_sweep () =
   let insns =
     Insn.[
       Mov (Long, Reg Registers.ECX, Imm 120);
@@ -482,24 +458,19 @@ let test_chain_fuel_straddle () =
       Halt;
     ]
   in
-  (* 8 insns/iteration after a 2-insn prologue: the chain builds on the
-     64th head dispatch (≈ instruction 514), so this sweep covers fuel
-     running out before the build, on it, and at every offset inside
-     chained passes. *)
-  let full = check ~chain:true "chain-fuel/full" insns in
-  Alcotest.(check bool) "the sweep does reach chained execution" true
-    (Cpu.chain_count full > 0);
+  (* 8 insns/iteration after a 2-insn prologue: the sweep runs fuel out
+     at every offset of fifteen consecutive iterations, about sixty
+     iterations into the loop. *)
+  ignore (check "hot-loop-fuel/full" insns : Cpu.t);
   for fuel = 480 to 600 do
     ignore
-      (check ~chain:true ~fuel (Printf.sprintf "chain-fuel=%d" fuel) insns
-        : Cpu.t)
+      (check ~fuel (Printf.sprintf "hot-loop-fuel=%d" fuel) insns : Cpu.t)
   done
 
-(* A computed Ret lands in the middle of a block that is a member of a
-   built chain: chains only start at head-block boundaries, so the
-   engine must step per-instruction from the landing point and
-   re-synchronise, exactly like the unchained mid-block entry. *)
-let test_ret_into_chained_block () =
+(* A computed Ret lands in the middle of a block of a loop that has
+   just run 200 iterations: the engine must step per-instruction from
+   the landing point and re-synchronise on the next block start. *)
+let test_ret_into_hot_loop () =
   let insns =
     Insn.[
       (* 0: Label main *)
@@ -526,8 +497,7 @@ let test_ret_into_chained_block () =
   let p = Program.link ~entry:"main" (Insn.Label "main" :: insns) in
   Alcotest.(check int) "index 8 is mid-block (test premise)"
     Program.no_block p.Program.block_at.(8);
-  let cpu = check ~chain:true "ret-into-chained" insns in
-  Alcotest.(check bool) "the loop did chain" true (Cpu.chain_count cpu > 0);
+  let cpu = check "ret-into-hot-loop" insns in
   Alcotest.(check int) "loop iterations" 200
     (Registers.get (Cpu.regs cpu) Registers.EAX);
   Alcotest.(check int) "mid-entry ran the block suffix once" 1003
@@ -564,18 +534,15 @@ let suite =
       test_fuel_mid_block;
     Alcotest.test_case "ret into the middle of a block" `Quick
       test_mid_block_entry;
-    Alcotest.test_case "chain forms and stays exact" `Quick
-      test_chain_forms_and_is_exact;
-    Alcotest.test_case "chaining off builds nothing" `Quick
-      test_chain_off_builds_nothing;
-    Alcotest.test_case "fault on first insn of chained successor" `Quick
-      test_chained_fault_first_insn;
-    Alcotest.test_case "fault on last insn of chained successor" `Quick
-      test_chained_fault_last_insn;
-    Alcotest.test_case "fuel straddling chained execution (sweep)" `Quick
-      test_chain_fuel_straddle;
-    Alcotest.test_case "ret into the middle of a chained block" `Quick
-      test_ret_into_chained_block;
+    Alcotest.test_case "hot loop stays exact" `Quick test_hot_loop_is_exact;
+    Alcotest.test_case "hot loop: fault on first insn" `Quick
+      test_hot_loop_fault_first_insn;
+    Alcotest.test_case "hot loop: fault on last insn" `Quick
+      test_hot_loop_fault_last_insn;
+    Alcotest.test_case "hot loop: fuel sweep (iterations)" `Quick
+      test_hot_loop_fuel_sweep;
+    Alcotest.test_case "ret into the middle of a hot loop" `Quick
+      test_ret_into_hot_loop;
     Alcotest.test_case "segreg reload vs memory fast path" `Quick
       test_segreg_reload_fast_path;
     Alcotest.test_case "tlb conflict eviction under fast path" `Quick

@@ -27,8 +27,7 @@
      model to be updated).
 
    Both properties run under the predecoded AND the superblock engine
-   for every seed — the latter twice, with block chaining on and off —
-   with the reference oracle joining on every 7th seed
+   for every seed, with the reference oracle joining on every 7th seed
    ([Fuzz.Check.all_engines]). Within a seed, outputs must also agree
    across engines.
 

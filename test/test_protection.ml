@@ -8,9 +8,9 @@
    - the bound-register file and two-level bound table: walk hits,
      walk misses (which load the unbounded range and never fault),
      in-place evictions, and directory allocation accounting;
-   - #BR precision: a fault in the middle of a superblock (and of a
-     chain) reports identical cycles, retired instructions, and machine
-     state under every engine, for both backends;
+   - #BR precision: a fault in the middle of a superblock reports
+     identical cycles, retired instructions, and machine state under
+     every engine, for both backends;
    - GANDALF-style capability semantics: pointer arithmetic that
      escapes the bounds clears the tag (and emits the typed trace
      event); one-past-the-end arithmetic keeps it;
@@ -18,10 +18,9 @@
      trace-event counts of the bound-table walks. *)
 
 let engines =
-  [ ("predecoded", Machine.Cpu.Predecoded, None);
-    ("block", Machine.Cpu.Block, Some true);
-    ("block-nochain", Machine.Cpu.Block, Some false);
-    ("reference", Machine.Cpu.Reference, None) ]
+  [ ("predecoded", Machine.Cpu.Predecoded);
+    ("block", Machine.Cpu.Block);
+    ("reference", Machine.Cpu.Reference) ]
 
 let new_backends = [ ("mpx", Core.mpx); ("cap", Core.cap) ]
 
@@ -115,9 +114,8 @@ let test_bound_table_hit_miss_evict () =
 
 (* The overrun sits mid-function, with live statements before and after
    it, so under the block engine the faulting access is in the middle
-   of a superblock (and, with chaining, of a chain). Every engine must
-   stop at the same instruction with the same cycle count and the same
-   machine state. *)
+   of a superblock. Every engine must stop at the same instruction with
+   the same cycle count and the same machine state. *)
 let oob_mid_block = {|
 int main() {
   int a[4];
@@ -139,8 +137,7 @@ let test_br_precise_mid_block () =
       let compiled = Core.compile backend oob_mid_block in
       let runs =
         List.map
-          (fun (ename, engine, chain) ->
-            (ename, Core.run ~engine ?chain compiled))
+          (fun (ename, engine) -> (ename, Core.run ~engine compiled))
           engines
       in
       let _, first = List.hd runs in
@@ -277,9 +274,9 @@ let test_three_engine_equivalence () =
       let compiled = Core.compile backend in_bounds_workout in
       let runs =
         List.map
-          (fun (ename, engine, chain) ->
+          (fun (ename, engine) ->
             let sink = Trace.create () in
-            let r = Core.run ~engine ?chain ~trace:sink compiled in
+            let r = Core.run ~engine ~trace:sink compiled in
             (ename, r, sink))
           engines
       in
@@ -364,7 +361,7 @@ let suite =
       test_unknown_backend_name_rejected;
     Alcotest.test_case "bound table: hit, miss, evict, dir alloc" `Quick
       test_bound_table_hit_miss_evict;
-    Alcotest.test_case "#BR precise mid-superblock and mid-chain" `Quick
+    Alcotest.test_case "#BR precise mid-superblock" `Quick
       test_br_precise_mid_block;
     Alcotest.test_case "capability tag cleared on escaping arithmetic" `Quick
       test_cap_tag_clear_on_escape;

@@ -141,41 +141,33 @@ let test_mid_block_alignment_deterministic () =
   Alcotest.(check int) "already aligned = 0 steps" 0
     (Snapshot.align_to_block (Core.state_process s1))
 
-(* Block chains are a derived cache, not machine state: a snapshot
-   taken while the block engine is running hot chained code carries no
-   chain data (so the format needed no version bump), a restored
-   machine starts with zero chains and re-derives them from its own
-   branch-bias samples, and finishing under a never-chaining engine
-   from the same bytes lands on the same digest. *)
-let test_snapshot_mid_chain () =
+(* A snapshot taken while the block engine is running a hot loop under
+   real block dispatch: finishing from the same bytes under the block
+   engine and under the per-instruction engine lands on the same digest
+   as an uninterrupted reference run. *)
+let test_snapshot_mid_hot_loop () =
   let compiled = cash_matmul () in
   let baseline = Core.run ~engine:Machine.Cpu.Reference compiled in
   let state = Core.start ~engine:Machine.Cpu.Block compiled in
   let process = Core.state_process state in
   let cpu = Osim.Process.cpu process in
-  (* Run half the program with real (chain-building) dispatch, not
-     single-stepping: the interrupted run must be inside chained
-     execution when the snapshot is requested. *)
+  (* Run half the program with real block dispatch, not
+     single-stepping: the interrupted run must be inside the hot loop
+     when the snapshot is requested. *)
   (try ignore (Osim.Process.run ~fuel:(baseline.Core.insns / 2) process
                 : Machine.Cpu.status)
    with Machine.Cpu.Out_of_fuel -> ());
   Alcotest.(check bool) "interrupted mid-run" true
     (Machine.Cpu.status cpu = Machine.Cpu.Running);
-  Alcotest.(check bool) "chains are hot at the snapshot point" true
-    (Machine.Cpu.chain_count cpu > 0);
   ignore (Snapshot.align_to_block process);
   let bytes = Buffer.to_bytes (Core.save state) in
-  let restored = Core.restore ~engine:Machine.Cpu.Block compiled bytes in
-  let rcpu = Osim.Process.cpu (Core.state_process restored) in
-  Alcotest.(check int) "restored machine re-derives: zero chains on load" 0
-    (Machine.Cpu.chain_count rcpu);
-  let under_block = Core.finish restored in
-  Alcotest.(check bool) "chains re-derived while finishing" true
-    (Machine.Cpu.chain_count rcpu > 0);
+  let under_block =
+    Core.finish (Core.restore ~engine:Machine.Cpu.Block compiled bytes)
+  in
   let under_predecode =
     Core.finish (Core.restore ~engine:Machine.Cpu.Predecoded compiled bytes)
   in
-  Alcotest.(check string) "digest: chained finish = predecode finish"
+  Alcotest.(check string) "digest: block finish = predecode finish"
     (Core.state_digest (Core.state_of_run compiled under_block))
     (Core.state_digest (Core.state_of_run compiled under_predecode));
   Alcotest.(check string) "digest: = uninterrupted reference run"
@@ -300,7 +292,38 @@ let test_corrupted_fails_typed () =
    | _ -> Alcotest.fail "bad version accepted"
    | exception Snapshot.Error (Snapshot.Bad_version _) -> ()
    | exception e ->
-     Alcotest.fail ("bad version: " ^ Printexc.to_string e))
+     Alcotest.fail ("bad version: " ^ Printexc.to_string e));
+  (* A physical-memory high-water mark beyond the simulated 32-bit
+     physical address space, through both restore paths: 2^40 asks for
+     a buffer the host cannot allocate, and max_int overflows the
+     buffer sizing. The field is the 8 bytes after the section's tag
+     byte (10), found as the only tag byte followed by the saved
+     machine's own high-water mark. *)
+  let hw =
+    Machine.Phys_mem.high_water (Osim.Process.phys (Core.state_process state))
+  in
+  let field = Bytes.create 8 in
+  Bytes.set_int64_le field 0 (Int64.of_int hw);
+  let hw_at =
+    List.filter
+      (fun i ->
+        Bytes.get bytes i = '\010'
+        && Bytes.equal (Bytes.sub bytes (i + 1) 8) field)
+      (List.init (len - 8) Fun.id)
+  in
+  Alcotest.(check int) "one physical-memory high-water field" 1
+    (List.length hw_at);
+  List.iter
+    (fun bad ->
+      let copy = Bytes.copy bytes in
+      Bytes.set_int64_le copy (List.hd hw_at + 1) (Int64.of_int bad);
+      expect_snapshot_error
+        (Printf.sprintf "restore, high water %d" bad)
+        (fun () -> Core.restore compiled copy);
+      expect_snapshot_error
+        (Printf.sprintf "restore_into, high water %d" bad)
+        (fun () -> Core.restore_into (warm_state compiled 100) copy))
+    [ 1 lsl 40; max_int ]
 
 let test_wrong_program_rejected () =
   let compiled = matmul () in
@@ -425,8 +448,8 @@ let suite =
       test_cross_engine_resume;
     Alcotest.test_case "mid-block snapshot aligns deterministically" `Quick
       test_mid_block_alignment_deterministic;
-    Alcotest.test_case "mid-chain snapshot: chains re-derived on restore"
-      `Quick test_snapshot_mid_chain;
+    Alcotest.test_case "mid-run snapshot of a hot loop" `Quick
+      test_snapshot_mid_hot_loop;
     Alcotest.test_case "TLB gen and hidden segreg caches survive" `Quick
       test_tlb_gen_and_hidden_caches_survive;
     Alcotest.test_case "truncated image fails with typed error" `Quick
