@@ -14,12 +14,16 @@
    - a stream may not end with a failed check still pending.
 
    The one-per-fault discipline is pinned elsewhere (test_trace.ml);
-   here we pin the pairing. Stats: checks seen, failures, and how many
-   failures the hardware stopped. *)
+   here we pin the pairing. Stats: checks passed (the sink's own
+   counter), failures, and how many failures the hardware stopped.
+
+   The plugin reads only failed checks. A failure asks the sink for the
+   next event whatever its kind ([Trace.want_next]), which is the only
+   event the pairing judges, so the passing checks and TLB hits of a
+   clean run never reach it. *)
 
 type state = {
   mutable pending : bool;  (* failed check seen, fault must be next *)
-  mutable passes : int;
   mutable fails : int;
   mutable stopped : int;   (* fails answered by #GP/#SS *)
 }
@@ -38,15 +42,14 @@ let on_event sink st ev =
       Trace.violation sink ~checker:name
         "limit check executed after a failed check with no intervening fault";
       s.pending <- false
-    end;
-    s.passes <- s.passes + 1
-  | Trace.Limit_check { ok = false; seg; offset; size; _ } ->
+    end
+  | Trace.Limit_check { ok = false; _ } ->
     if s.pending then
       Trace.violation sink ~checker:name
         "second failed limit check with no intervening fault";
     s.fails <- s.fails + 1;
     s.pending <- true;
-    ignore (seg, offset, size)
+    Trace.want_next sink ~checker:name
   | Trace.Fault { cls = (`Gp | `Ss); _ } when s.pending ->
     s.stopped <- s.stopped + 1;
     s.pending <- false
@@ -77,15 +80,15 @@ let at_finish sink st =
 
 let merge ~into src =
   let i = get into and s = get src in
-  i.passes <- i.passes + s.passes;
   i.fails <- i.fails + s.fails;
   i.stopped <- i.stopped + s.stopped;
   i.pending <- i.pending || s.pending
 
-let to_json st =
+let to_json sink st =
   let s = get st in
   Trace.Json.Obj
-    [ ("checks_passed", Trace.Json.Int s.passes);
+    [ ( "checks_passed",
+        Trace.Json.Int (Trace.count sink Trace.K_limit_check_pass) );
       ("checks_failed", Trace.Json.Int s.fails);
       ("stopped_by_fault", Trace.Json.Int s.stopped) ]
 
@@ -95,7 +98,8 @@ let spec : Trace.Plugin.spec =
     p_doc =
       "every failed segment-limit check is immediately answered by a \
        #GP/#SS fault";
-    p_init = (fun () -> S { pending = false; passes = 0; fails = 0; stopped = 0 });
+    p_kinds = [ Trace.K_limit_check_fail ];
+    p_init = (fun () -> S { pending = false; fails = 0; stopped = 0 });
     p_on_event = on_event;
     p_at_finish = at_finish;
     p_merge = merge;

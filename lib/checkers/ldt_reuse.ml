@@ -72,7 +72,7 @@ let merge ~into src =
   i.sets <- i.sets + s.sets;
   i.reuses <- i.reuses + s.reuses
 
-let to_json st =
+let to_json _sink st =
   let s = get st in
   Trace.Json.Obj
     [ ("ldt_selector_loads", Trace.Json.Int s.ldt_loads);
@@ -86,6 +86,8 @@ let spec : Trace.Plugin.spec =
     p_doc =
       "no segment register is loaded from an LDT slot after the slot was \
        cleared";
+    p_kinds =
+      [ Trace.K_segreg_load; Trace.K_modify_ldt; Trace.K_cash_modify_ldt ];
     p_init =
       (fun () ->
         S

@@ -19,7 +19,11 @@
    A failing write through a DATA-region segment is deliberately out of
    scope (that is bounds_precision's generic pairing); this plugin's
    value is the classification: it tells a smash attempt apart from an
-   ordinary heap/global overrun by where the segment lives. *)
+   ordinary heap/global overrun by where the segment lives.
+
+   The plugin reads limit checks, passing and failing; an attempt asks
+   the sink for the next event whatever its kind ([Trace.want_next]),
+   the one that must be its fault. *)
 
 type state = {
   mutable ss_lo : int;       (* observed stack window, linear [lo, hi) *)
@@ -55,13 +59,15 @@ let on_event sink st ev =
     if write then s.ss_writes <- s.ss_writes + 1;
     if (not ok) && write then begin
       s.attempts <- s.attempts + 1;
-      s.pending <- true
+      s.pending <- true;
+      Trace.want_next sink ~checker:name
     end
   | Trace.Limit_check { base; write = true; ok = false; _ }
     when in_window s base ->
     (* overrun of a stack-resident object through its own segment *)
     s.attempts <- s.attempts + 1;
-    s.pending <- true
+    s.pending <- true;
+    Trace.want_next sink ~checker:name
   | Trace.Fault { cls = (`Gp | `Ss); _ } when s.pending ->
     s.stopped <- s.stopped + 1;
     s.pending <- false
@@ -96,7 +102,7 @@ let merge ~into src =
   i.stopped <- i.stopped + s.stopped;
   i.pending <- i.pending || s.pending
 
-let to_json st =
+let to_json _sink st =
   let s = get st in
   Trace.Json.Obj
     [ ("stack_writes", Trace.Json.Int s.ss_writes);
@@ -111,6 +117,7 @@ let spec : Trace.Plugin.spec =
     p_doc =
       "failing writes into the live stack region must be stopped by a \
        protection fault";
+    p_kinds = [ Trace.K_limit_check_pass; Trace.K_limit_check_fail ];
     p_init =
       (fun () ->
         S

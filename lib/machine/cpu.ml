@@ -85,6 +85,11 @@ type t = {
      the hot loop is byte-for-byte the untraced one. *)
   mutable sink : Trace.sink option;
   mutable prof_hits : int array;
+  (* [mmu.limit_checks], [tlb.hits] and [tlb.misses] as last credited
+     to the sink's hardware tally (see [credit_tally]) *)
+  mutable tallied_checks : int;
+  mutable tallied_hits : int;
+  mutable tallied_misses : int;
   (* Superblock engine state (all engines carry the fields; only
      [Block] uses them): *)
   block_starts : int array;    (* = program.block_starts *)
@@ -202,6 +207,9 @@ let create ?(engine = default_engine) ~mmu ~phys ~costs ~program () =
     stat_counters;
     sink = None;
     prof_hits = [||];
+    tallied_checks = 0;
+    tallied_hits = 0;
+    tallied_misses = 0;
     block_starts;
     block_lens;
     block_at = program.Program.block_at;
@@ -221,12 +229,33 @@ let create ?(engine = default_engine) ~mmu ~phys ~costs ~program () =
     fm_gen = Array.make 6 (-1);
   }
 
+(* The sink's hardware tally ([Trace.credit]) gets the growth of the
+   MMU's and the TLB's own counters on every exit from [run] and [step],
+   the only two places simulated instructions execute. [set_sink] only
+   rebases: a snapshot restore overwrites the counters before
+   [Core.restore]/[restore_into] attach the sink again, and that jump is
+   no work the hardware did under the sink. *)
+let rebase_tally t =
+  let tlb = t.mmu.Seghw.Mmu.tlb in
+  t.tallied_checks <- t.mmu.Seghw.Mmu.limit_checks;
+  t.tallied_hits <- tlb.Seghw.Tlb.hits;
+  t.tallied_misses <- tlb.Seghw.Tlb.misses
+
+let credit_tally t s =
+  let tlb = t.mmu.Seghw.Mmu.tlb in
+  Trace.credit s
+    ~limit_checks:(t.mmu.Seghw.Mmu.limit_checks - t.tallied_checks)
+    ~tlb_hits:(tlb.Seghw.Tlb.hits - t.tallied_hits)
+    ~tlb_misses:(tlb.Seghw.Tlb.misses - t.tallied_misses);
+  rebase_tally t
+
 (* Attach (or detach) the trace sink: the CPU and its MMU share it, so
    one call covers the limit-check/TLB emit sites of the flattened
    translation path as well as the module ones. *)
 let set_sink t sink =
   t.sink <- sink;
   Seghw.Mmu.set_trace t.mmu sink;
+  rebase_tally t;
   match sink with
   | Some _ ->
     if Array.length t.prof_hits <> Array.length t.code then
@@ -1906,15 +1935,25 @@ let step_reference t =
 
 (* --- stepping and the run loop ----------------------------------------- *)
 
+let[@inline] step_engine t =
+  match t.engine with
+  (* Single-stepping a [Block] CPU steps per instruction (block
+     dispatch only pays off across a whole [run]); the per-segment
+     fast path stays active via [t.fm_enabled]. *)
+  | Predecoded | Block -> step_predecoded t
+  | Reference -> step_reference t
+
 let step t =
   match t.status with
   | Running ->
-    (match t.engine with
-     (* Single-stepping a [Block] CPU steps per instruction (block
-        dispatch only pays off across a whole [run]); the per-segment
-        fast path stays active via [t.fm_enabled]. *)
-     | Predecoded | Block -> step_predecoded t
-     | Reference -> step_reference t)
+    (match t.sink with
+     | None -> step_engine t
+     | Some s ->
+       (match step_engine t with
+        | () -> credit_tally t s
+        | exception e ->
+          credit_tally t s;
+          raise e))
   | Halted | Faulted _ -> ()
 
 (* Commit a partially executed block after an exception: [k] body
@@ -1961,7 +2000,8 @@ let run ?(fuel = 4_000_000_000) t =
     ~finally:(fun () ->
       ignore
         (Atomic.fetch_and_add retired_total (t.insns_executed - start_insns)
-          : int))
+          : int);
+      match t.sink with None -> () | Some s -> credit_tally t s)
     (fun () ->
       try
         match t.engine, t.sink with

@@ -28,6 +28,20 @@ exception Lex_error of string * int (* message, line *)
 let error line fmt =
   Printf.ksprintf (fun msg -> raise (Lex_error (msg, line))) fmt
 
+(* Number literals go through OCaml's conversions; their [Failure] on an
+   out-of-range or malformed literal becomes a [Lex_error] on the
+   literal's line. [text] is the literal as written, [repr] the string
+   converted. *)
+let int_literal line text repr =
+  match int_of_string_opt repr with
+  | Some n -> n
+  | None -> error line "integer literal %s out of range" text
+
+let float_literal line text =
+  match float_of_string_opt text with
+  | Some f -> f
+  | None -> error line "malformed float literal %s" text
+
 (* --- character classes --------------------------------------------------- *)
 
 let c_ws = 1          (* space, tab, CR, LF *)
@@ -275,7 +289,8 @@ let scan src =
       (* [int_of_string "0x..."] accepts the full unsigned range and
          wraps; delegate rather than re-implement that boundary. *)
       Token.INT_LIT
-        (int_of_string ("0x" ^ String.sub src hstart (!pos - hstart)))
+        (int_literal !line (String.sub src start (!pos - start))
+           ("0x" ^ String.sub src hstart (!pos - hstart)))
     end
     else begin
       let acc = ref 0 and overflow = ref false in
@@ -297,10 +312,13 @@ let scan src =
           if !pos < slen && (at !pos = '+' || at !pos = '-') then incr pos;
           while !pos < slen && is_class (at !pos) c_digit do incr pos done
         end;
-        Token.FLOAT_LIT (float_of_string (String.sub src start (!pos - start)))
+        Token.FLOAT_LIT
+          (float_literal !line (String.sub src start (!pos - start)))
       end
-      else if !overflow then
-        Token.INT_LIT (int_of_string (String.sub src start (!pos - start)))
+      else if !overflow then begin
+        let text = String.sub src start (!pos - start) in
+        Token.INT_LIT (int_literal !line text text)
+      end
       else Token.INT_LIT !acc
     end
   in

@@ -9,6 +9,20 @@ exception Lex_error of string * int (* message, line *)
 let error line fmt =
   Printf.ksprintf (fun msg -> raise (Lex_error (msg, line))) fmt
 
+(* Number literals go through OCaml's conversions; their [Failure] on an
+   out-of-range or malformed literal becomes a [Lex_error] on the
+   literal's line. [text] is the literal as written, [repr] the string
+   converted. *)
+let int_literal line text repr =
+  match int_of_string_opt repr with
+  | Some n -> n
+  | None -> error line "integer literal %s out of range" text
+
+let float_literal line text =
+  match float_of_string_opt text with
+  | Some f -> f
+  | None -> error line "malformed float literal %s" text
+
 let keyword_table =
   [
     ("int", Token.KW_INT); ("char", Token.KW_CHAR);
@@ -87,7 +101,9 @@ let lex_number st =
       advance st
     done;
     if st.pos = hstart then error st.line "empty hex literal";
-    Token.INT_LIT (int_of_string ("0x" ^ String.sub st.src hstart (st.pos - hstart)))
+    Token.INT_LIT
+      (int_literal st.line (String.sub st.src start (st.pos - start))
+         ("0x" ^ String.sub st.src hstart (st.pos - hstart)))
   end
   else begin
     while (match peek st with Some c -> is_digit c | None -> false) do
@@ -117,9 +133,13 @@ let lex_number st =
            advance st
          done
        | _ -> ());
-      Token.FLOAT_LIT (float_of_string (String.sub st.src start (st.pos - start)))
+      Token.FLOAT_LIT
+        (float_literal st.line (String.sub st.src start (st.pos - start)))
     end
-    else Token.INT_LIT (int_of_string (String.sub st.src start (st.pos - start)))
+    else begin
+      let text = String.sub st.src start (st.pos - start) in
+      Token.INT_LIT (int_literal st.line text text)
+    end
   end
 
 let lex_ident st =

@@ -14,6 +14,7 @@ type env = {
   mutable strings : string list; (* reversed *)
   mutable string_count : int;
   mutable locals_acc : Ir.sym list; (* collected per function, reversed *)
+  mutable loop_depth : int; (* loops enclosing the statement being checked *)
 }
 
 let builtins : (string * (Ir.builtin * Ast.ty * Ast.ty list)) list =
@@ -102,6 +103,17 @@ let convert ~want (e : Ir.texpr) =
       { Ir.ty = want; e = Ir.Tcast (want, e) }
     | _ ->
       error "cannot convert %s to %s" (Ast.show_ty have) (Ast.show_ty want)
+
+(* The casts code generation lowers ([Codegen.gen_cast]), over decayed
+   types, and no others. *)
+let castable from_ty to_ty =
+  from_ty = to_ty
+  ||
+  match from_ty, to_ty with
+  | (Ast.Tint | Ast.Tchar), (Ast.Tint | Ast.Tchar | Ast.Tdouble | Ast.Tptr _)
+  | Ast.Tdouble, (Ast.Tint | Ast.Tchar)
+  | Ast.Tptr _, (Ast.Tptr _ | Ast.Tint | Ast.Tchar) -> true
+  | _ -> false
 
 (* Usual arithmetic conversions for a binary operation. *)
 let arith_result a b =
@@ -195,6 +207,10 @@ let rec check_expr env (e : Ast.expr) : Ir.texpr =
   | Ast.Call (name, args) -> check_call env name args
   | Ast.Cast (ty, inner) ->
     let inner = check_expr env inner in
+    let from_ty = Ast.decay inner.Ir.ty and to_ty = Ast.decay ty in
+    if not (castable from_ty to_ty) then
+      error "unsupported cast from %s to %s" (Ast.show_ty from_ty)
+        (Ast.show_ty to_ty);
     { Ir.ty; e = Ir.Tcast (ty, inner) }
   | Ast.Sizeof_ty ty ->
     (* resolved at code generation: pointer sizes differ per backend *)
@@ -291,14 +307,14 @@ let rec check_stmt env ~ret_ty (s : Ast.stmt) : Ir.tstmt =
   | Ast.While (c, body) ->
     let li = fresh_loop env in
     let c = check_expr env c in
-    Ir.Swhile (li, c, check_stmt env ~ret_ty body)
+    Ir.Swhile (li, c, check_loop_body env ~ret_ty body)
   | Ast.For (init, cond, step, body) ->
     let li = fresh_loop env in
     push_scope env; (* the for-init declaration scopes over the loop *)
     let init = Option.map (check_stmt env ~ret_ty) init in
     let cond = Option.map (check_expr env) cond in
     let step = Option.map (check_expr env) step in
-    let body = check_stmt env ~ret_ty body in
+    let body = check_loop_body env ~ret_ty body in
     pop_scope env;
     Ir.Sfor (li, init, cond, step, body)
   | Ast.Return e ->
@@ -312,9 +328,19 @@ let rec check_stmt env ~ret_ty (s : Ast.stmt) : Ir.tstmt =
     let stmts = List.map (check_stmt env ~ret_ty) stmts in
     pop_scope env;
     Ir.Sblock stmts
-  | Ast.Break -> Ir.Sbreak
-  | Ast.Continue -> Ir.Scontinue
+  | Ast.Break ->
+    if env.loop_depth = 0 then error "break outside a loop";
+    Ir.Sbreak
+  | Ast.Continue ->
+    if env.loop_depth = 0 then error "continue outside a loop";
+    Ir.Scontinue
   | Ast.Empty -> Ir.Sempty
+
+and check_loop_body env ~ret_ty body =
+  env.loop_depth <- env.loop_depth + 1;
+  let body = check_stmt env ~ret_ty body in
+  env.loop_depth <- env.loop_depth - 1;
+  body
 
 (* --- program ------------------------------------------------------------ *)
 
@@ -339,6 +365,7 @@ let check (prog : Ast.program) : Ir.tprog =
       strings = [];
       string_count = 0;
       locals_acc = [];
+      loop_depth = 0;
     }
   in
   push_scope env; (* global scope *)

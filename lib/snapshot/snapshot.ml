@@ -558,7 +558,17 @@ let restore_body ~target ~(program : Machine.Program.t) (r : reader) =
   let mmu = Osim.Process.mmu process in
   restore_ldt (Seghw.Mmu.ldt mmu) r;
   expect_tag r tag_paging "paging";
+  (* Frames are allocated from 0 upwards, so every frame a page-table
+     entry or a live TLB entry names lies below [next_frame]. The CPU
+     reads physical memory through them unchecked: a frame outside that
+     range would reach outside the physical buffer. *)
   let next_frame = r_int r "paging" in
+  if next_frame < 0 || next_frame > 1 lsl 20 then
+    raise (Error (Corrupt "frame count beyond the 32-bit physical space"));
+  let check_frame what frame =
+    if frame < 0 || frame >= next_frame then
+      raise (Error (Corrupt (what ^ " frame not allocated")))
+  in
   let paging = Seghw.Mmu.paging mmu in
   Seghw.Paging.reset paging;
   let n_ptes = r_int r "paging" in
@@ -568,6 +578,7 @@ let restore_body ~target ~(program : Machine.Program.t) (r : reader) =
     if page < 0 || page > 0xFFFFF then
       raise (Error (Corrupt "PTE page number out of range"));
     let frame = r_int r "paging" in
+    check_frame "PTE" frame;
     let present = r_bool r "paging" in
     let writable = r_bool r "paging" in
     Seghw.Paging.restore_entry paging ~page ~frame ~present ~writable
@@ -579,8 +590,15 @@ let restore_body ~target ~(program : Machine.Program.t) (r : reader) =
   if size <> tlb.Seghw.Tlb.mask + 1 then
     raise (Error (Corrupt (Printf.sprintf "TLB size %d" size)));
   for i = 0 to size - 1 do
-    tlb.Seghw.Tlb.tags.(i) <- r_int r "TLB";
-    tlb.Seghw.Tlb.frames.(i) <- r_int r "TLB";
+    let tag = r_int r "TLB" in
+    let frame = r_int r "TLB" in
+    if tag <> -1 (* an empty slot *) then begin
+      if tag < 0 || tag > 0xFFFFF then
+        raise (Error (Corrupt "TLB tag out of range"));
+      check_frame "TLB" frame
+    end;
+    tlb.Seghw.Tlb.tags.(i) <- tag;
+    tlb.Seghw.Tlb.frames.(i) <- frame;
     tlb.Seghw.Tlb.writable.(i) <- r_bool r "TLB"
   done;
   tlb.Seghw.Tlb.hits <- r_int r "TLB";
@@ -589,11 +607,12 @@ let restore_body ~target ~(program : Machine.Program.t) (r : reader) =
   expect_tag r tag_phys "physical memory";
   let hw = r_int r "physical memory" in
   if hw < 0 then raise (Error (Corrupt "negative high water"));
-  (* Past the simulated 32-bit physical address space the doubling
-     below overflows (and never exits) or asks the host for a buffer it
-     cannot allocate. *)
-  if hw > 1 lsl 32 then
-    raise (Error (Corrupt "high water beyond the 32-bit physical space"));
+  (* Every physical byte is reached through an allocated frame, so the
+     high-water mark is at most [next_frame] pages. Checked before the
+     buffer is sized from it: a larger mark would make the doubling
+     below ask the host for a buffer the image cannot justify. *)
+  if hw > next_frame * page_size then
+    raise (Error (Corrupt "high water beyond the allocated frames"));
   let ph = Osim.Process.phys process in
   let len = ref (1 lsl 20) in
   while hw > !len do

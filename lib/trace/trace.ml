@@ -13,14 +13,18 @@
    would-be event at each emitting site (no event is even constructed),
    so the hot path stays within noise of the untraced engine. The traced
    cost is the event record the emitting site builds (none for the
-   constant [Tlb_hit]), one counter bump and one ring store per event.
-   Nothing else allocates on the hot events ([Limit_check], [Tlb_hit]):
-   the ring stores the event itself (no option box), [emit] walks the
-   plugin list without building a closure, and the shipped plugins keep
-   their books in mutable fields and flat arrays. test/test_trace.ml
-   pins that budget in minor words per event. Tracing never changes
-   simulated semantics — cycles, stat counters, memory and table output
-   are bit-identical either way; test/test_predecode.ml pins this. *)
+   constant [Tlb_hit]), one counter bump, one ring store, and one call
+   per plugin that reads the event's kind: each plugin declares its
+   kinds ([p_kinds]) and [emit] walks only that kind's subscriber list,
+   so a kind no plugin reads (with the shipped set, [Tlb_hit]) costs no
+   plugin call at all. Nothing else allocates on the hot events
+   ([Limit_check], [Tlb_hit]): the ring stores the event itself (no
+   option box), [emit] walks the subscriber list without building a
+   closure, and the shipped plugins keep their books in mutable fields
+   and flat arrays. test/test_trace.ml pins that budget in minor words
+   per event. Tracing never changes simulated semantics — cycles, stat
+   counters, memory and table output are bit-identical either way;
+   test/test_predecode.ml pins this. *)
 
 type ldt_path = Slow_syscall | Call_gate
 
@@ -447,12 +451,23 @@ type sink = {
   mutable checks_at_last_reload : int;
   (* (symbol -> insns, cycles), merged in by the profiler *)
   attribution : (string, int ref * int ref) Hashtbl.t;
-  (* instantiated plugins, in attach order; fed by [emit] *)
+  (* instantiated plugins, in attach order *)
   mutable plugins : plugin_instance list;
+  (* per kind_index: the plugins whose [p_kinds] name it, in attach
+     order — what [emit] feeds *)
+  subscribers : plugin_instance list array;
+  (* plugins that asked for the next event, whatever its kind *)
+  mutable requested : plugin_instance list;
+  (* the hardware tally: the MMU's and TLB's own counts, credited by
+     the CPUs that run under this sink *)
+  mutable hw_limit_checks : int;
+  mutable hw_tlb_hits : int;
+  mutable hw_tlb_misses : int;
 }
 
 and plugin_instance = {
   i_spec : plugin_spec;
+  i_mask : int;  (* bit [kind_index k] set for each k in [p_kinds] *)
   mutable i_state : plugin_state;
   mutable i_finished : bool;
 }
@@ -460,22 +475,24 @@ and plugin_instance = {
 and plugin_spec = {
   p_name : string;
   p_doc : string;
+  p_kinds : kind list;
   p_init : unit -> plugin_state;
   p_on_event : sink -> plugin_state -> event -> unit;
   p_at_finish : sink -> plugin_state -> unit;
   p_merge : into:plugin_state -> plugin_state -> unit;
-  p_to_json : plugin_state -> Json.t;
+  p_to_json : sink -> plugin_state -> Json.t;
 }
 
 module Plugin = struct
   type spec = plugin_spec = {
     p_name : string;
     p_doc : string;
+    p_kinds : kind list;
     p_init : unit -> plugin_state;
     p_on_event : sink -> plugin_state -> event -> unit;
     p_at_finish : sink -> plugin_state -> unit;
     p_merge : into:plugin_state -> plugin_state -> unit;
-    p_to_json : plugin_state -> Json.t;
+    p_to_json : sink -> plugin_state -> Json.t;
   }
 
   (* The global registry: CLIs resolve --check=<name> against it. An
@@ -505,11 +522,28 @@ end
 let auto_plugins : plugin_spec list Atomic.t = Atomic.make []
 let set_auto_plugins specs = Atomic.set auto_plugins specs
 
+let instance spec state ~finished =
+  let mask =
+    List.fold_left (fun m k -> m lor (1 lsl kind_index k)) 0 spec.p_kinds
+  in
+  { i_spec = spec; i_mask = mask; i_state = state; i_finished = finished }
+
+(* Append an instance to the plugin list and to the subscriber list of
+   each kind it reads. *)
+let add_instance t i =
+  t.plugins <- t.plugins @ [ i ];
+  Array.iteri
+    (fun ki subs ->
+      if i.i_mask land (1 lsl ki) <> 0 then t.subscribers.(ki) <- subs @ [ i ])
+    t.subscribers
+
+let find_instance t name =
+  List.find_opt (fun i -> i.i_spec.p_name = name) t.plugins
+
 let attach t (spec : plugin_spec) =
-  if List.exists (fun i -> i.i_spec.p_name = spec.p_name) t.plugins then
+  if Option.is_some (find_instance t spec.p_name) then
     invalid_arg ("Trace.attach: plugin already attached: " ^ spec.p_name);
-  t.plugins <-
-    t.plugins @ [ { i_spec = spec; i_state = spec.p_init (); i_finished = false } ]
+  add_instance t (instance spec (spec.p_init ()) ~finished:false)
 
 let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
@@ -528,6 +562,11 @@ let create ?(capacity = 4096) () =
       checks_at_last_reload = 0;
       attribution = Hashtbl.create 31;
       plugins = [];
+      subscribers = Array.make num_kinds [];
+      requested = [];
+      hw_limit_checks = 0;
+      hw_tlb_hits = 0;
+      hw_tlb_misses = 0;
     }
   in
   List.iter (attach t) (Atomic.get auto_plugins);
@@ -536,7 +575,9 @@ let create ?(capacity = 4096) () =
 let plugin_names t = List.map (fun i -> i.i_spec.p_name) t.plugins
 
 let plugin_json t =
-  List.map (fun i -> (i.i_spec.p_name, i.i_spec.p_to_json i.i_state)) t.plugins
+  List.map
+    (fun i -> (i.i_spec.p_name, i.i_spec.p_to_json t i.i_state))
+    t.plugins
 
 (* Run each plugin's end-of-run pass exactly once (idempotent): a
    plugin may only discover a violation once the event stream is known
@@ -559,13 +600,29 @@ let ring_push t ev =
   t.head <- (if h = t.capacity then 0 else h);
   if t.filled < t.capacity then t.filled <- t.filled + 1
 
-(* A top-level walk rather than [List.iter (fun i -> ...)]: that closure
+let want_next t ~checker =
+  match find_instance t checker with
+  | Some i ->
+    if not (List.memq i t.requested) then t.requested <- i :: t.requested
+  | None -> invalid_arg ("Trace.want_next: plugin not attached: " ^ checker)
+
+(* Top-level walks rather than [List.iter (fun i -> ...)]: that closure
    would capture the sink and the event, one allocation per emit. *)
 let rec feed_plugins t ev = function
   | [] -> ()
   | i :: rest ->
     i.i_spec.p_on_event t i.i_state ev;
     feed_plugins t ev rest
+
+(* The event after a [want_next]: every plugin, in attach order, that
+   reads the event's kind ([bit]) or is among the requesters [req] —
+   each once, so violations keep the order of a feed-everyone walk. *)
+let rec feed_requested t ev bit req = function
+  | [] -> ()
+  | i :: rest ->
+    if i.i_mask land bit <> 0 || List.memq i req then
+      i.i_spec.p_on_event t i.i_state ev;
+    feed_requested t ev bit req rest
 
 let emit t ev =
   let k = kind_of_event ev in
@@ -587,7 +644,23 @@ let emit t ev =
    | _ -> ());
   ring_push t ev;
   t.total <- t.total + 1;
-  feed_plugins t ev t.plugins
+  match t.requested with
+  | [] -> feed_plugins t ev (Array.unsafe_get t.subscribers ki)
+  | req ->
+    (* Requests made while this event is fed are for the one after it. *)
+    t.requested <- [];
+    feed_requested t ev (1 lsl ki) req t.plugins
+
+let credit t ~limit_checks ~tlb_hits ~tlb_misses =
+  t.hw_limit_checks <- t.hw_limit_checks + limit_checks;
+  t.hw_tlb_hits <- t.hw_tlb_hits + tlb_hits;
+  t.hw_tlb_misses <- t.hw_tlb_misses + tlb_misses
+
+type tally = { limit_checks : int; tlb_hits : int; tlb_misses : int }
+
+let tally t =
+  { limit_checks = t.hw_limit_checks; tlb_hits = t.hw_tlb_hits;
+    tlb_misses = t.hw_tlb_misses }
 
 let counters t =
   List.filter_map
@@ -628,20 +701,23 @@ let attributions t =
 
 (* Fold one finished sink into another, for aggregating the per-job
    sinks of a parallel run after the barrier. Counters, the
-   reload-interval histogram, attribution, and the emitted-event totals
-   sum exactly; [src]'s surviving ring events and violations are
-   appended after [into]'s in [src]-emission order, so merging per-job
-   sinks in job order is deterministic. [into]'s plugins are NOT run
-   on the merged events: merging is aggregation, not emission. Both
-   sinks are expected to be quiescent (their runs finished) — the
-   reload-interval boundary state is not carried over, so a sink that
-   keeps emitting after being merged into would start a fresh interval. *)
+   reload-interval histogram, attribution, the emitted-event totals and
+   the hardware tally sum exactly; [src]'s surviving ring events and
+   violations are appended after [into]'s in [src]-emission order, so
+   merging per-job sinks in job order is deterministic. [into]'s
+   plugins are NOT run on the merged events: merging is aggregation,
+   not emission. Both sinks are expected to be quiescent (their runs
+   finished) — the reload-interval boundary state is not carried over,
+   so a sink that keeps emitting after being merged into would start a
+   fresh interval. *)
 let merge_into ~into src =
   Array.iteri
     (fun i c -> into.counters.(i) <- into.counters.(i) + c)
     src.counters;
   List.iter (ring_push into) (events src);
   into.total <- into.total + src.total;
+  credit into ~limit_checks:src.hw_limit_checks ~tlb_hits:src.hw_tlb_hits
+    ~tlb_misses:src.hw_tlb_misses;
   Histogram.merge_into ~into:into.reload_interval src.reload_interval;
   (* [violation_log] is newest-first; prepending the reversed oldest-first
      view keeps "into's violations, then src's" once re-reversed. *)
@@ -653,20 +729,22 @@ let merge_into ~into src =
      src's state into into's (aggregation — [into]'s plugins are NOT
      re-run on the merged events); a plugin only on [src] moves across
      with its state. The fold happens after the ring append above, so a
-     plugin cannot observe merged events as emissions. *)
+     plugin cannot observe merged events as emissions. A pending
+     next-event request moves to [into]'s instance of the plugin. *)
   List.iter
     (fun si ->
-      match
-        List.find_opt
-          (fun ii -> ii.i_spec.p_name = si.i_spec.p_name)
-          into.plugins
-      with
-      | Some ii -> ii.i_spec.p_merge ~into:ii.i_state si.i_state
-      | None ->
-        into.plugins <-
-          into.plugins
-          @ [ { i_spec = si.i_spec; i_state = si.i_state;
-                i_finished = si.i_finished } ])
+      let ii =
+        match find_instance into si.i_spec.p_name with
+        | Some ii ->
+          ii.i_spec.p_merge ~into:ii.i_state si.i_state;
+          ii
+        | None ->
+          let ii = instance si.i_spec si.i_state ~finished:si.i_finished in
+          add_instance into ii;
+          ii
+      in
+      if List.memq si src.requested && not (List.memq ii into.requested) then
+        into.requested <- ii :: into.requested)
     src.plugins
 
 (* --- pretty-printing ---------------------------------------------------- *)

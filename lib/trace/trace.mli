@@ -9,19 +9,30 @@
     - a {e ring buffer} of the most recent events, for inspection and
       JSON export (old events are overwritten, the drop count is kept);
     - {e plugins}: stateful invariant checkers in the Checkbochs style
-      ({!Plugin}), fed every event as it is emitted; a plugin records
-      violations on the sink instead of raising, so a checked run
-      completes and the violations can be asserted afterwards.
+      ({!Plugin}), each fed the events of the kinds it declares as they
+      are emitted; a plugin records violations on the sink instead of
+      raising, so a checked run completes and the violations can be
+      asserted afterwards.
+
+    The sink also keeps a {e hardware tally} ({!credit}, {!tally}): the
+    limit checks, TLB hits and TLB misses the simulated MMU and TLB
+    counted themselves, credited by the CPU running under the sink.
+    Those counts are kept on the untraced path too, so a checker can
+    compare them with the event counters without receiving the hot
+    events one by one.
 
     The emitting layers hold a [sink option] and test it before
     constructing an event, so a detached run pays one load-and-branch
     per would-be event and allocates nothing. An attached sink costs
-    the event record, one counter bump and one ring store per event;
-    the ring, the plugin dispatch and the shipped plugins add no
-    allocation of their own on [Limit_check] and [Tlb_hit]. Tracing
-    never changes simulated semantics: cycles, counters, memory, and
-    table output are bit-identical with and without a sink attached
-    (asserted by the oracle suite in [test/test_predecode.ml]). *)
+    the event record, one counter bump and one ring store per event,
+    plus one call to each plugin that reads the event's kind: a kind no
+    plugin reads costs no plugin call. The shipped plugins read
+    [limit_check.pass] only in [stack_smash] and [tlb.hit] in none. The
+    ring, the dispatch and the shipped plugins add no allocation of
+    their own on [Limit_check] and [Tlb_hit]. Tracing never changes
+    simulated semantics: cycles, counters, memory, and table output are
+    bit-identical with and without a sink attached (asserted by the
+    oracle suite in [test/test_predecode.ml]). *)
 
 (** Which kernel path performed an LDT update. *)
 type ldt_path = Slow_syscall | Call_gate
@@ -165,16 +176,27 @@ module Plugin : sig
     p_name : string;       (** unique key: registry, per-sink instances,
                                and {!merge_into} pairing all use it *)
     p_doc : string;        (** one-line description for [--check] listings *)
+    p_kinds : kind list;
+        (** the kinds [p_on_event] reads: {!emit} feeds the plugin the
+            events of these kinds, and others only to answer its
+            {!want_next}. Contract: [p_on_event] is a no-op on any kind
+            outside [p_kinds] — no state change, no violation — so
+            declaring every kind ({!all_kinds}) gives the same
+            violations and report, only slower. *)
     p_init : unit -> plugin_state;
     p_on_event : sink -> plugin_state -> event -> unit;
-        (** run on every emitted event; report problems with
+        (** run on every emitted event of a kind in [p_kinds] and on
+            the event after a {!want_next}; report problems with
             {!violation} (never raise) *)
     p_at_finish : sink -> plugin_state -> unit;
         (** end-of-run pass, run once by {!finish_plugins} *)
     p_merge : into:plugin_state -> plugin_state -> unit;
         (** fold a finished worker instance's state into [into]'s;
             called by {!merge_into} when both sinks carry the plugin *)
-    p_to_json : plugin_state -> Json.t;  (** state summary for export *)
+    p_to_json : sink -> plugin_state -> Json.t;
+        (** state summary for export; the sink is the one the plugin is
+            attached to, so a report can quote a sink counter or the
+            {!tally} instead of keeping its own copy *)
   }
 
   (** Register a spec under its name for by-name lookup (CLI [--check]
@@ -194,11 +216,22 @@ end
 val create : ?capacity:int -> unit -> sink
 
 (** Instantiate a plugin on this sink: its state is created and every
-    subsequent {!emit} feeds it. Attach before the first event —
-    plugins that cross-check the sink's counters assume they saw the
-    whole stream.
+    subsequent {!emit} of a kind in its [p_kinds] feeds it. Attach
+    before the first event — plugins that cross-check the sink's
+    counters assume they saw the whole stream.
     @raise Invalid_argument if a plugin of the same name is attached. *)
 val attach : sink -> Plugin.spec -> unit
+
+(** [want_next sink ~checker] asks that the attached plugin named
+    [checker] also receive the next emitted event, whatever its kind —
+    one event, then the request is spent. A plugin that must see what
+    immediately follows an event (a fault after a failed check) calls
+    it from [p_on_event]; the request made while one event is fed is
+    for the event after it. That event goes once to each plugin that
+    reads its kind or asked for it, in attach order. A pending request
+    survives {!merge_into}.
+    @raise Invalid_argument if no plugin of that name is attached. *)
+val want_next : sink -> checker:string -> unit
 
 (** Plugins attached automatically by every subsequent {!create} —
     how a parallel harness whose workers build their own sinks gets
@@ -220,8 +253,27 @@ val plugin_json : sink -> (string * Json.t) list
 val finish_plugins : sink -> unit
 
 (** Record an event: bump its kind counter, append it to the ring, feed
-    every attached plugin in attach order. *)
+    the plugins that read its kind (and any that asked for it with
+    {!want_next}) in attach order. *)
 val emit : sink -> event -> unit
+
+(** {2 Hardware tally}
+
+    The simulated hardware's own counts for the two hot kinds and the
+    TLB misses. The CPU credits its sink with the growth of
+    [Seghw.Mmu.limit_checks], [Seghw.Tlb.hits] and [Seghw.Tlb.misses]
+    whenever [Machine.Cpu.run] or [Machine.Cpu.step] returns or raises.
+    On a consistent run [tally.limit_checks] equals the
+    [limit_check.pass] plus [limit_check.fail] counters, and
+    [tlb_hits] and [tlb_misses] equal [tlb.hit] and [tlb.miss]. A sink
+    fed by hand, with no machine behind it, credits what a machine
+    would have counted. *)
+
+val credit : sink -> limit_checks:int -> tlb_hits:int -> tlb_misses:int -> unit
+
+type tally = { limit_checks : int; tlb_hits : int; tlb_misses : int }
+
+val tally : sink -> tally
 
 val count : sink -> kind -> int
 
@@ -261,13 +313,15 @@ val attributions : sink -> (string * int * int) list
 (** [merge_into ~into src] folds one finished sink into another — how
     the per-job sinks of a parallel run ([Parallel.run_jobs]) become
     one aggregate after the barrier. Counters, the reload-interval
-    histogram, attribution, and emitted-event totals sum exactly;
+    histogram, attribution, emitted-event totals and the hardware
+    {!tally} sum exactly;
     [src]'s surviving ring events and violations are appended after
     [into]'s in emission order, so merging per-job sinks in job order
     is deterministic. [into]'s plugins are not run on merged events
     (aggregation, not emission): a plugin present on both sinks has
     [src]'s state folded in through its [p_merge], and one present
-    only on [src] moves across with its state. Both sinks
+    only on [src] moves across with its state. A plugin's pending
+    {!want_next} request moves across with it. Both sinks
     should be quiescent: reload-interval boundary state is not carried
     across the merge.
     A sink is single-domain — emit into per-job sinks and merge after

@@ -24,6 +24,25 @@ let test_compile_errors_propagate () =
   | exception Minic.Typecheck.Type_error _ -> ()
   | _ -> Alcotest.fail "expected type error"
 
+(* Programs the typechecker used to accept and code generation then
+   refused with a bare [Failure]: a typed error under every backend. *)
+let test_codegen_refusals_are_type_errors () =
+  List.iter
+    (fun src ->
+      List.iter
+        (fun backend ->
+          match Core.compile backend src with
+          | exception Minic.Typecheck.Type_error _ -> ()
+          | exception e ->
+            Alcotest.failf "%s, %S: %s" (Core.backend_name backend) src
+              (Printexc.to_string e)
+          | _ ->
+            Alcotest.failf "%s, %S: compiled" (Core.backend_name backend) src)
+        [ Core.gcc; Core.bcc; Core.bcc_bound; Core.cash; Core.mpx; Core.cap ])
+    [ "int main() { break; return 0; }";
+      "int main() { continue; return 0; }";
+      "int main() { int *p; double d; d = (double) p; return 0; }" ]
+
 let test_exec_roundtrip () =
   let r = Core.exec Core.cash "int main() { print_int(6 * 7); return 0; }" in
   Alcotest.(check bool) "finished" true (r.Core.status = Core.Finished);
@@ -180,6 +199,8 @@ let suite =
     Alcotest.test_case "backend names" `Quick test_backend_names;
     Alcotest.test_case "cash_n validation" `Quick test_cash_n_validation;
     Alcotest.test_case "compile errors" `Quick test_compile_errors_propagate;
+    Alcotest.test_case "codegen refusals are type errors" `Quick
+      test_codegen_refusals_are_type_errors;
     Alcotest.test_case "exec roundtrip" `Quick test_exec_roundtrip;
     Alcotest.test_case "gcc has no runtime" `Quick test_gcc_has_no_runtime;
     Alcotest.test_case "shared kernel clock" `Quick test_shared_kernel_clock;

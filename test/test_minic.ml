@@ -538,7 +538,10 @@ let test_oracle_tricky () =
       "@"; "\n\n  @"; "a\r\n@"; "$"; "`";
       "\"unterminated"; "\"unterminated\n more";
       "'"; "'a"; {|'\q'|};
-      "/* runs off the end" ]
+      "/* runs off the end";
+      (* literals OCaml's conversions refuse *)
+      "return 99999999999999999999;"; "return 0x1FFFFFFFFFFFFFFFFFFF;";
+      "d = 1.5e;" ]
 
 let test_lex_error_lines () =
   let line_of name f src =
@@ -553,7 +556,9 @@ let test_lex_error_lines () =
         (line_of "new" Lexer.tokenize src);
       Alcotest.(check int) ("ref: " ^ String.escaped src) expect
         (line_of "ref" Lexref.tokenize src))
-    [ ("@", 1); ("\n@", 2); ("a\nb\n  @", 3); ("//c\n/* x\n\n*/\n@", 5) ]
+    [ ("@", 1); ("\n@", 2); ("a\nb\n  @", 3); ("//c\n/* x\n\n*/\n@", 5);
+      ("x;\nreturn 99999999999999999999;", 2);
+      ("\n\nreturn 0x1FFFFFFFFFFFFFFFFFFF;", 3); ("d = 1.5e;", 1) ]
 
 (* The flat-array scan: counts, lines, and the pointer-length halves
    must recover the reference stream and the original spellings. *)

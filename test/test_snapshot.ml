@@ -323,7 +323,62 @@ let test_corrupted_fails_typed () =
       expect_snapshot_error
         (Printf.sprintf "restore_into, high water %d" bad)
         (fun () -> Core.restore_into (warm_state compiled 100) copy))
-    [ 1 lsl 40; max_int ]
+    [ 1 lsl 40; max_int ];
+  (* Frames the CPU would read through unchecked: byte 6 of the last
+     page-table entry's frame and of a live TLB slot's frame (a flip
+     there puts the frame far past the physical buffer), and a
+     high-water mark one byte past the allocated frames. The paging
+     section is found as the only tag byte (8) followed by the saved
+     frame count and page-table entry count. *)
+  let mmu = Osim.Process.mmu (Core.state_process state) in
+  let paging = Seghw.Mmu.paging mmu in
+  let next_frame = Seghw.Paging.frames_allocated paging in
+  let n_ptes = List.length (Seghw.Paging.entries paging) in
+  let header = Bytes.create 16 in
+  Bytes.set_int64_le header 0 (Int64.of_int next_frame);
+  Bytes.set_int64_le header 8 (Int64.of_int n_ptes);
+  let paging_at =
+    List.filter
+      (fun i ->
+        Bytes.get bytes i = '\008'
+        && Bytes.equal (Bytes.sub bytes (i + 1) 16) header)
+      (List.init (len - 16) Fun.id)
+  in
+  Alcotest.(check int) "one paging section" 1 (List.length paging_at);
+  let paging_at = List.hd paging_at in
+  (* entries are (page, frame, present, writable): 8 + 8 + 1 + 1 bytes;
+     the TLB section follows with its tag, its size, then per slot
+     (tag, frame, writable): 8 + 8 + 1 bytes *)
+  let last_pte_frame = paging_at + 17 + ((n_ptes - 1) * 18) + 8 in
+  let tlb_at = paging_at + 17 + (n_ptes * 18) in
+  let tlb = Seghw.Mmu.tlb mmu in
+  let live_slot =
+    match
+      List.find_opt
+        (fun i -> tlb.Seghw.Tlb.tags.(i) >= 0)
+        (List.init (Array.length tlb.Seghw.Tlb.tags) Fun.id)
+    with
+    | Some i -> i
+    | None -> Alcotest.fail "no live TLB slot"
+  in
+  let live_tlb_frame = tlb_at + 9 + (live_slot * 17) + 8 in
+  Alcotest.(check int) "TLB section found" 9
+    (Char.code (Bytes.get bytes tlb_at));
+  let high_water =
+    let copy = Bytes.copy bytes in
+    Bytes.set_int64_le copy (List.hd hw_at + 1)
+      (Int64.of_int ((next_frame * 4096) + 1));
+    copy
+  in
+  List.iter
+    (fun (what, copy) ->
+      expect_snapshot_error ("restore, " ^ what) (fun () ->
+          Core.restore compiled copy);
+      expect_snapshot_error ("restore_into, " ^ what) (fun () ->
+          Core.restore_into (warm_state compiled 100) copy))
+    [ ("last PTE frame", flip (last_pte_frame + 6));
+      ("live TLB frame", flip (live_tlb_frame + 6));
+      ("high water past the frames", high_water) ]
 
 let test_wrong_program_rejected () =
   let compiled = matmul () in

@@ -115,11 +115,12 @@ let plugin_of ~name ?(init = fun () -> No_state) on_event :
   {
     p_name = name;
     p_doc = "test: " ^ name;
+    p_kinds = Trace.all_kinds;
     p_init = init;
     p_on_event = on_event;
     p_at_finish = (fun _ _ -> ());
     p_merge = (fun ~into:_ _ -> ());
-    p_to_json = (fun _ -> Trace.Json.Null);
+    p_to_json = (fun _ _ -> Trace.Json.Null);
   }
 
 let test_checkers () =
@@ -435,6 +436,7 @@ let counting_spec name =
   {
     Trace.Plugin.p_name = name;
     p_doc = "test: counts delivered events";
+    p_kinds = Trace.all_kinds;
     p_init = (fun () -> Counting { events = ref 0; finishes = ref 0 });
     p_on_event =
       (fun _sink st _ev ->
@@ -450,7 +452,7 @@ let counting_spec name =
           i.finishes := !(i.finishes) + !(s.finishes)
         | _ -> assert false);
     p_to_json =
-      (fun st ->
+      (fun _sink st ->
         match st with
         | Counting c ->
           Trace.Json.Obj
@@ -485,6 +487,42 @@ let test_plugin_feed_and_finish () =
   (* idempotent per instance: the second call is a no-op *)
   Alcotest.(check int) "finish ran exactly once" 1
     (plugin_field s "c" "finishes")
+
+(* [emit] feeds a plugin the kinds it declares and, after a
+   [want_next], the one next event whatever its kind; a request still
+   pending moves with the plugin through [merge_into]. *)
+let test_plugin_subscription () =
+  let fed = ref [] in
+  let watcher =
+    { (plugin_of ~name:"miss-watcher" (fun sink _ ev ->
+           fed := Trace.kind_name (Trace.kind_of_event ev) :: !fed;
+           match ev with
+           | Trace.Tlb_miss _ -> Trace.want_next sink ~checker:"miss-watcher"
+           | _ -> ()))
+      with
+      Trace.Plugin.p_kinds = [ Trace.K_tlb_miss ] }
+  in
+  let pass =
+    Trace.Limit_check
+      { seg = "DS"; base = 0; offset = 0; size = 4; write = false; ok = true }
+  in
+  let s = Trace.create () in
+  Trace.attach s watcher;
+  List.iter (Trace.emit s)
+    [ Trace.Tlb_hit; Trace.Tlb_miss { page = 1; evicted = false }; pass; pass;
+      Trace.Tlb_hit; Trace.Tlb_miss { page = 2; evicted = false } ];
+  Alcotest.(check (list string))
+    "declared kind, plus the event after each request"
+    [ "tlb.miss"; "limit_check.pass"; "tlb.miss" ]
+    (List.rev !fed);
+  let into = Trace.create () in
+  Trace.merge_into ~into s;
+  Trace.emit into Trace.Tlb_hit;
+  Trace.emit into Trace.Tlb_hit;
+  Alcotest.(check (list string))
+    "the pending request survives the merge, once"
+    [ "tlb.miss"; "limit_check.pass"; "tlb.miss"; "tlb.hit" ]
+    (List.rev !fed)
 
 (* The merge_into contract for plugins (trace.mli): aggregation, not
    emission. A plugin on both sinks has the states folded through
@@ -567,6 +605,32 @@ let test_shipped_plugins_clean_runs () =
 
 (* And each shipped plugin fires on a hand-built out-of-spec stream —
    the positive control for the zero-violation assertions above. *)
+let failed_check =
+  Trace.Limit_check
+    { seg = "DS"; base = 0x1000; offset = 64; size = 4; write = true;
+      ok = false }
+
+(* failed check resolved by a TLB hit instead of a fault *)
+let unanswered_check = [ failed_check; Trace.Tlb_hit ]
+
+(* a failing write into the learned stack window, never answered *)
+let unanswered_smash =
+  [ Trace.Limit_check
+      { seg = "SS"; base = 0x8000; offset = 0; size = 64; write = true;
+        ok = true };
+    Trace.Limit_check
+      { seg = "DS"; base = 0x8010; offset = 60; size = 4; write = true;
+        ok = false };
+    Trace.Tlb_hit ]
+
+(* GS loaded from an LDT slot after the slot was cleared *)
+let dangling_load =
+  [ Trace.Ldt_update { path = Trace.Slow_syscall; index = 5; cleared = true };
+    Trace.Segreg_load { reg = "GS"; selector = (5 lsl 3) lor 4 lor 3 } ]
+
+let out_of_spec_streams =
+  [ unanswered_check; [ failed_check ]; unanswered_smash; dangling_load ]
+
 let test_shipped_plugins_fire () =
   let expect_violation name spec events ~finish =
     let sink = Trace.create () in
@@ -578,39 +642,26 @@ let test_shipped_plugins_fire () =
       Alcotest.(check string) (name ^ ": right checker") name checker
     | [] -> Alcotest.failf "%s: out-of-spec stream raised no violation" name
   in
-  let failed_check =
-    Trace.Limit_check
-      { seg = "DS"; base = 0x1000; offset = 64; size = 4; write = true;
-        ok = false }
-  in
-  (* failed check resolved by a TLB hit instead of a fault *)
   expect_violation "bounds_precision" Checkers.Bounds_precision.spec
-    [ failed_check; Trace.Tlb_hit ] ~finish:false;
+    unanswered_check ~finish:false;
   (* stream ends with the failure still pending *)
   expect_violation "bounds_precision" Checkers.Bounds_precision.spec
     [ failed_check ] ~finish:true;
-  (* a failing write into the learned stack window, never answered *)
-  expect_violation "stack_smash" Checkers.Stack_smash.spec
-    [ Trace.Limit_check
-        { seg = "SS"; base = 0x8000; offset = 0; size = 64; write = true;
-          ok = true };
-      Trace.Limit_check
-        { seg = "DS"; base = 0x8010; offset = 60; size = 4; write = true;
-          ok = false };
-      Trace.Tlb_hit ] ~finish:false;
-  (* GS loaded from an LDT slot after the slot was cleared *)
-  expect_violation "ldt_reuse" Checkers.Ldt_reuse.spec
-    [ Trace.Ldt_update { path = Trace.Slow_syscall; index = 5; cleared = true };
-      Trace.Segreg_load { reg = "GS"; selector = (5 lsl 3) lor 4 lor 3 } ]
+  expect_violation "stack_smash" Checkers.Stack_smash.spec unanswered_smash
+    ~finish:false;
+  expect_violation "ldt_reuse" Checkers.Ldt_reuse.spec dangling_load
     ~finish:false;
   (* a failed check with no protection fault anywhere in the stream *)
   expect_violation "fault_consistency" Checkers.Fault_consistency.spec
     [ failed_check ] ~finish:true
 
-(* fault_consistency keeps its own per-kind book; its report lists
-   exactly the kinds it saw, sorted by name, with exact counts — the
+(* fault_consistency keeps its own per-kind book for the kinds it
+   reads and takes the two hot rows from the hardware tally; its report
+   lists exactly the kinds seen, sorted by name, with exact counts — the
    same view as the sink's counters, including the evict an evicting
-   miss adds — on one sink and again after merging two. *)
+   miss adds — on one sink and again after merging two. The stream has
+   no machine behind it, so each sink is credited what a machine would
+   have counted: 2 limit checks, 2 TLB hits, 2 TLB misses. *)
 let test_fault_consistency_report () =
   let stream =
     [ Trace.Segreg_load { reg = "GS"; selector = 0xC };
@@ -631,6 +682,7 @@ let test_fault_consistency_report () =
     let s = Trace.create () in
     Trace.attach s Checkers.Fault_consistency.spec;
     List.iter (Trace.emit s) stream;
+    Trace.credit s ~limit_checks:2 ~tlb_hits:2 ~tlb_misses:2;
     s
   in
   let report sink =
@@ -664,7 +716,96 @@ let test_fault_consistency_report () =
   Trace.finish_plugins merged;
   Alcotest.(check (list (pair string string)))
     "books agree with the counters" []
-    (Trace.violations one @ Trace.violations merged)
+    (Trace.violations one @ Trace.violations merged);
+  (* negative control: a TLB hit emitted with no hardware behind it *)
+  let extra = fed () in
+  Trace.emit extra Trace.Tlb_hit;
+  Trace.finish_plugins extra;
+  Alcotest.(check int) "an uncredited hit is one violation" 1
+    (List.length (Checkers.shipped_violations extra))
+
+(* Each shipped plugin declares the kinds it reads. A copy that reads
+   every kind must give the same violations and the same report as the
+   declared plugin, on traced compiled runs under every engine and on
+   the hand-built out-of-spec streams of test_shipped_plugins_fire — so
+   a [p_kinds] that leaves out a kind its plugin reads fails here. *)
+let test_declared_kinds_suffice () =
+  let every_kind =
+    List.map
+      (fun (sp : Trace.Plugin.spec) -> { sp with p_kinds = Trace.all_kinds })
+      Checkers.all
+  in
+  let outcome specs feed =
+    let sink = Trace.create () in
+    List.iter (Trace.attach sink) specs;
+    feed sink;
+    Trace.finish_plugins sink;
+    ( Trace.violations sink,
+      List.map
+        (fun (name, js) -> (name, Trace.Json.to_string js))
+        (Trace.plugin_json sink) )
+  in
+  let agree label feed =
+    let v_declared, j_declared = outcome Checkers.all feed in
+    let v_every, j_every = outcome every_kind feed in
+    Alcotest.(check (list (pair string string)))
+      (label ^ ": violations") v_every v_declared;
+    Alcotest.(check (list (pair string string)))
+      (label ^ ": reports") j_every j_declared
+  in
+  let matrix_program scheme =
+    let w = List.hd (Harness.Matrix.workloads ~quick:true) in
+    ( scheme ^ " " ^ w.Harness.Matrix.w_name,
+      List.assoc scheme Harness.Matrix.schemes,
+      w.Harness.Matrix.w_source )
+  in
+  let programs =
+    [ ("cash clean", Core.cash, clean_src);
+      ("cash overrun", Core.cash, overrun_src);
+      matrix_program "mpx";
+      matrix_program "cap" ]
+  in
+  List.iter
+    (fun (ename, engine) ->
+      List.iter
+        (fun (pname, backend, src) ->
+          let compiled = Core.compile backend src in
+          agree (pname ^ " / " ^ ename) (fun sink ->
+              ignore (Core.run ~engine ~trace:sink compiled)))
+        programs)
+    [ ("block", Machine.Cpu.Block); ("predecode", Machine.Cpu.Predecoded);
+      ("reference", Machine.Cpu.Reference) ];
+  List.iteri
+    (fun i events ->
+      agree (Printf.sprintf "out-of-spec stream %d" i) (fun sink ->
+          List.iter (Trace.emit sink) events))
+    out_of_spec_streams
+
+(* Traced [restore_into] under the same sink. A restore rewinds the
+   hardware counters, so the sink must be credited the work each run and
+   each single step did, and never the rewind: re-attaching the sink
+   after a run that already finished under it, and a restore right after
+   some steps, would otherwise leave the tally off from the counters. *)
+let test_restore_into_tally () =
+  List.iter
+    (fun src ->
+      let sink = Trace.create () in
+      Checkers.attach_shipped sink;
+      let steps state =
+        let cpu = Osim.Process.cpu (Core.state_process state) in
+        for _ = 1 to 50 do Cpu.step cpu done
+      in
+      let state = Core.start ~trace:sink (Core.compile Core.cash src) in
+      steps state;
+      let image = Buffer.to_bytes (Core.save state) in
+      ignore (Core.finish state);
+      let state = Core.restore_into ~trace:sink state image in
+      steps state;
+      ignore (Core.finish (Core.restore_into ~trace:sink state image));
+      Trace.finish_plugins sink;
+      Alcotest.(check (list (pair string string)))
+        "no violations" [] (Checkers.shipped_violations sink))
+    [ clean_src; overrun_src ]
 
 (* The traced path's allocation budget with every shipped plugin
    attached: the ring, the dispatch and the plugins allocate nothing,
@@ -812,6 +953,8 @@ let suite =
       test_checker_on_run;
     Alcotest.test_case "plugin: feed + idempotent finish" `Quick
       test_plugin_feed_and_finish;
+    Alcotest.test_case "plugin: fed its kinds and requested events" `Quick
+      test_plugin_subscription;
     Alcotest.test_case "plugin: merge folds states, never re-emits" `Quick
       test_plugin_merge_semantics;
     Alcotest.test_case "plugin: violations survive merge in job order" `Quick
@@ -825,6 +968,10 @@ let suite =
       test_plugin_json_export;
     Alcotest.test_case "plugin: fault_consistency report" `Quick
       test_fault_consistency_report;
+    Alcotest.test_case "plugin: declared kinds suffice" `Quick
+      test_declared_kinds_suffice;
+    Alcotest.test_case "plugin: traced restore_into credits no rewind" `Quick
+      test_restore_into_tally;
     Alcotest.test_case "sink: emit allocation budget" `Quick
       test_emit_allocation;
     Alcotest.test_case "json: parse roundtrips writer" `Quick
