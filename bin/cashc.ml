@@ -65,18 +65,12 @@ let check =
                otherwise clean run. Composes with $(b,--profile); tracing \
                never changes simulated behaviour.")
 
-let engine_conv =
-  Arg.enum
-    [ ("block", Machine.Cpu.Block); ("predecode", Machine.Cpu.Predecoded);
-      ("predecoded", Machine.Cpu.Predecoded);
-      ("reference", Machine.Cpu.Reference) ]
-
 let engine =
-  Arg.(value & opt engine_conv Machine.Cpu.default_engine &
+  Arg.(value & opt (enum Core.engines) Machine.Cpu.default_engine &
        info [ "engine" ]
-         ~doc:"CPU interpreter: block (superblock dispatch, the default), \
-               predecode, or reference. Simulated cycles and output \
-               are engine-independent.")
+         ~doc:"CPU interpreter: block (superblock dispatch, the default) \
+               or reference. Simulated cycles and output are \
+               engine-independent.")
 
 let replay =
   Arg.(value & opt (some file) None &

@@ -19,18 +19,11 @@
 
 open Cmdliner
 
-let engine_conv =
-  Arg.enum
-    [ ("block", Machine.Cpu.Block); ("predecode", Machine.Cpu.Predecoded);
-      ("predecoded", Machine.Cpu.Predecoded);
-      ("reference", Machine.Cpu.Reference) ]
-
 let engine =
-  Arg.(value & opt engine_conv Machine.Cpu.default_engine &
+  Arg.(value & opt (enum Core.engines) Machine.Cpu.default_engine &
        info [ "engine" ]
          ~doc:"Default CPU engine for requests that don't name one: \
-               block, predecode, reference. Results are \
-               engine-independent.")
+               block or reference. Results are engine-independent.")
 
 let jobs =
   Arg.(value & opt (some int) None &

@@ -48,8 +48,8 @@ let engines =
        info [ "engines" ]
          ~doc:"$(b,fast) runs each program once per backend on the \
                superblock engine; $(b,all) runs the full differential \
-               matrix (predecode, block, and the reference oracle every \
-               7th seed).")
+               matrix (block on every seed, the reference oracle on \
+               every 7th).")
 
 let dump_dir =
   Arg.(value & opt string "fuzz-failures" &

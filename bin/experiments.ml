@@ -62,14 +62,10 @@ let jobs =
 
 let engine =
   let doc =
-    "CPU interpreter for every run: block, predecode, or reference. \
-     Output is byte-identical across engines."
+    "CPU interpreter for every run: block or reference. Output is \
+     byte-identical across engines."
   in
-  Arg.(value & opt (enum [ ("block", Machine.Cpu.Block);
-                           ("predecode", Machine.Cpu.Predecoded);
-                           ("predecoded", Machine.Cpu.Predecoded);
-                           ("reference", Machine.Cpu.Reference) ])
-         (Core.default_engine ())
+  Arg.(value & opt (enum Core.engines) (Core.default_engine ())
        & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let run selected requests jobs engine =

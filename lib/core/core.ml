@@ -227,16 +227,17 @@ let default_engine_cell : Machine.Cpu.engine Atomic.t =
 let set_default_engine e = Atomic.set default_engine_cell e
 let default_engine () = Atomic.get default_engine_cell
 
-let engine_of_string = function
-  | "block" -> Some Machine.Cpu.Block
-  | "predecode" | "predecoded" -> Some Machine.Cpu.Predecoded
-  | "reference" -> Some Machine.Cpu.Reference
-  | _ -> None
-
+(* A [match], not a lookup in [engines]: the server builds its pool key
+   from this on every request. *)
 let engine_name = function
   | Machine.Cpu.Block -> "block"
-  | Machine.Cpu.Predecoded -> "predecoded"
   | Machine.Cpu.Reference -> "reference"
+
+let engines =
+  List.map (fun e -> (engine_name e, e))
+    [ Machine.Cpu.Block; Machine.Cpu.Reference ]
+
+let engine_of_string name = List.assoc_opt name engines
 
 (* A loaded-but-not-finished machine: what [start] returns, [finish]
    consumes, and the snapshot layer checkpoints. *)

@@ -186,7 +186,7 @@ val set_default_trace : Trace.sink option -> unit
 val current_trace : unit -> Trace.sink option
 
 (** Ambient CPU engine applied to every {!run} without an explicit
-    [?engine] — how [--engine=block|predecode|reference] on the bench
+    [?engine] — how [--engine=block|reference] on the bench
     and experiment CLIs reaches the [run] calls buried inside the table
     modules. Process-wide (atomic, visible to every harness worker
     domain); set it once, before fanning out. Initially
@@ -195,12 +195,15 @@ val set_default_engine : Machine.Cpu.engine -> unit
 
 val default_engine : unit -> Machine.Cpu.engine
 
-(** Parse an engine name: ["block"], ["predecode"] (or ["predecoded"]),
-    ["reference"]. [None] for anything else. *)
+(** Every engine by name, the default first: [("block", Block);
+    ("reference", Reference)]. The CLIs' [--engine] choices. *)
+val engines : (string * Machine.Cpu.engine) list
+
+(** Look a name up in {!engines}. [None] for anything else. *)
 val engine_of_string : string -> Machine.Cpu.engine option
 
-(** The BENCH-json name of an engine: ["block"] / ["predecoded"] /
-    ["reference"]. *)
+(** The name of an engine in {!engines}, as BENCH json and the [cashd]
+    protocol spell it. *)
 val engine_name : Machine.Cpu.engine -> string
 
 (** Sum of the dynamic zero-cost counters with the given name prefix:

@@ -65,12 +65,11 @@ let is_bv = function Core.Bound_violation _ -> true | _ -> false
 let fast_engines : (string * Machine.Cpu.engine * bool option) list =
   [ ("block", Machine.Cpu.Block, None) ]
 
-(* The full differential matrix of test/test_differential.ml: both fast
-   engines on every seed, with the reference oracle joining on every 7th
+(* The full differential matrix of test/test_differential.ml: the block
+   engine on every seed, with the reference oracle joining on every 7th
    seed. *)
 let all_engines ~seed : (string * Machine.Cpu.engine * bool option) list =
-  [ ("predecode", Machine.Cpu.Predecoded, None);
-    ("block", Machine.Cpu.Block, None) ]
+  fast_engines
   @ (if seed mod 7 = 0 then [ ("reference", Machine.Cpu.Reference, None) ]
      else [])
 
@@ -270,7 +269,7 @@ let check ?(engines = fast_engines) ?(plugins = false) ?(force_fail = false)
         match Core.compile_cached Core.cash src with
         | exception _ -> None
         | compiled -> (
-          match Core.run ~engine:Machine.Cpu.Predecoded compiled with
+          match Core.run compiled with
           | r -> Some (compiled, r)
           | exception _ -> None)
       in

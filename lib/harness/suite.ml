@@ -1,9 +1,11 @@
 (* The canonical experiment list — every table and figure of the paper —
    and the parallel driver that regenerates them.
 
-   One list shared by bench/main.exe, bin/experiments.exe, and the
-   serial-vs-parallel oracle test, so "the full reproduction" means the
-   same experiments everywhere. Each experiment builds its own kernel,
+   One list shared by bench/main.exe, the benchmark's [repro] workload
+   and the serial-vs-parallel oracle test, so "the full reproduction"
+   means the same experiments in each. bin/experiments.exe keeps its
+   own list: its names differ ([security] for [ablation-security]), and
+   its [ablation] entry also prints the software-check dynamics. Each experiment builds its own kernel,
    machine, and MMU, making the jobs independent and deterministic;
    [run_all] fans them out over [Parallel.run_jobs] and returns the
    reports in list order, so the printed output is byte-identical to a
@@ -23,8 +25,8 @@ let default_table8_requests = 25
 type experiment = {
   name : string;
   run : unit -> Report.t;
-      (* self-contained serial closure: what bechamel measures, and what
-         [run_all] executes for experiments that do not split *)
+      (* self-contained serial closure: what [run_all] executes for
+         experiments that do not split *)
   split_requests : int option;
       (* [Some r]: [run_all] replaces the serial closure by the
          warm-started per-request split at [r] requests *)

@@ -16,14 +16,8 @@
      dynamic software-check and spilled-loop-iteration frequencies without
      perturbing cycle counts.
 
-   Three execution engines share this module:
+   Two execution engines share this module:
 
-   - [Predecoded] runs over the link-time lowered form:
-     branch targets come from [Program.targets], per-site cycle costs from
-     a table built at CPU creation, stat counters from pre-interned refs,
-     and [exec] returns the next EIP instead of raising an exception on
-     control transfers. Nothing on this path hashes a string, matches an
-     option, or allocates.
    - [Block] executes the linker's superblock partition: each maximal
      single-entry straight-line region is compiled (once, at first run)
      into an array of operand-resolved closures, dispatched as a unit
@@ -33,10 +27,15 @@
      (linear page -> phys delta) fast path validated by the TLB's
      generation counter. Fault-precise: a mid-block fault unwinds to the
      exact faulting instruction with registers, counters, and EIP
-     identical to the per-instruction engines (the closures share the
+     identical to per-instruction execution (the closures share the
      single set of [eff_*] operand-effect helpers, so there is nothing
-     to diverge). It is the default ([default_engine]); traced runs step
-     per instruction, exactly as [Predecoded] does.
+     to diverge). It is the default ([default_engine]). Under it,
+     [exec] steps one instruction of the link-time lowered form: branch
+     targets from [Program.targets], per-site cycle costs from a table
+     built at CPU creation, stat counters from pre-interned refs, and the
+     next EIP returned instead of an exception on control transfers.
+     [exec] is the block loop's fallback (fuel straddles, mid-block
+     entries), [step]'s single step, and the one traced loop.
    - [Reference] is the pre-lowering interpreter kept verbatim: hashtable
      label resolution per branch, a [Cost_model.cost] match per executed
      instruction, string-keyed stat bumps, and an exception per control
@@ -49,7 +48,7 @@ type status =
   | Halted
   | Faulted of Seghw.Fault.t
 
-type engine = Predecoded | Block | Reference
+type engine = Block | Reference
 
 let default_engine = Block
 
@@ -216,13 +215,8 @@ let create ?(engine = default_engine) ~mmu ~phys ~costs ~program () =
     block_cost;
     ublocks = [||];
     ublocks_ready = false;
-    (* Block engine only, by measurement: lifting this to Predecoded was
-       a wash (within ±3% noise on bench --quick --ab — see
-       EXPERIMENTS.md). The stepping engines re-resolve the segreg
-       mirror and fast-path slot on every access, so the extra probe
-       costs about what the skipped TLB hash probe saves; only the block
-       closures, which resolve both once per compiled block, profit. *)
-    fm_enabled = (match engine with Block -> true | _ -> false);
+    (* Off under the oracle, which keeps the plain TLB probe. *)
+    fm_enabled = (match engine with Block -> true | Reference -> false);
     fm_page = Array.make 6 (-1);
     fm_delta = Array.make 6 0;
     fm_writable = Array.make 6 false;
@@ -843,9 +837,9 @@ let return_float t v = fset t Registers.XMM0 v
 (* --- shared operand effects -------------------------------------------- *)
 
 (* One definition of every straight-line instruction effect, shared by
-   all three engines: [exec] (pre-decoded), [exec_reference], and the
-   superblock closure compiler each dispatch into these, so an engine
-   cannot silently diverge on an ALU or memory semantics detail. Control
+   all three execution paths: [exec] (pre-decoded), [exec_reference],
+   and the superblock closure compiler each dispatch into these, so a
+   path cannot silently diverge on an ALU or memory semantics detail. Control
    transfers and cycle/EIP commits stay engine-specific by design —
    that is exactly what distinguishes the engines. *)
 
@@ -1053,7 +1047,7 @@ let[@inline] eff_bndstx t b (m : Insn.mem) =
   (* A store that must allocate a second-level table pays extra memory
      traffic — the analogue of the paper's LDT-reload accounting. The
      charge is purely additive and keyed on architectural table state,
-     so all three engines charge it identically. *)
+     so every execution path charges it identically. *)
   if allocated then
     t.cycles <- t.cycles + Seghw.Bound_regs.dir_alloc_cycles
 
@@ -1110,7 +1104,7 @@ let[@inline] eff_callext t name =
   | Some f -> f t
   | None -> Seghw.Fault.ud (Printf.sprintf "undefined external %S" name)
 
-(* --- the pre-decoded execution engine ---------------------------------- *)
+(* --- the pre-decoded execution path ------------------------------------ *)
 
 (* Execute the instruction at index [eip] and return the next EIP.
    Control transfers read their pre-resolved target from [t.targets];
@@ -1848,8 +1842,8 @@ let build_ublocks t =
 (* The pre-lowering interpreter, preserved verbatim: label hashtable
    lookups on the branch path, a cost-model match per executed
    instruction, string-keyed stat bumps, and an [Exit] exception per
-   control transfer. Semantically authoritative; the pre-decoded engine
-   must match it bit for bit. *)
+   control transfer. Semantically authoritative; [exec] and the
+   superblocks must match it bit for bit. *)
 let exec_reference t (i : Insn.t) =
   let next = t.eip + 1 in
   (match i with
@@ -1928,7 +1922,7 @@ let step_reference t =
   (try exec_reference t i with
    | Exit -> () (* control transfer already applied *));
   (* A faulting instruction propagates past this point unretired, so it
-     is not attributed — matching the pre-decoded engine. *)
+     is not attributed — matching [step_predecoded]. *)
   match t.sink with
   | None -> ()
   | Some _ -> t.prof_hits.(eip) <- t.prof_hits.(eip) + 1
@@ -1940,7 +1934,7 @@ let[@inline] step_engine t =
   (* Single-stepping a [Block] CPU steps per instruction (block
      dispatch only pays off across a whole [run]); the per-segment
      fast path stays active via [t.fm_enabled]. *)
-  | Predecoded | Block -> step_predecoded t
+  | Block -> step_predecoded t
   | Reference -> step_reference t
 
 let step t =
@@ -2005,24 +1999,6 @@ let run ?(fuel = 4_000_000_000) t =
     (fun () ->
       try
         match t.engine, t.sink with
-        | Predecoded, None ->
-          (* The hot loop. Hoist the lowered arrays out of the loop and
-             test [status] with a match — no polymorphic comparison per
-             step. Untraced: the sink is tested once, out here, so the
-             per-instruction path is exactly the pre-tracing one. *)
-          let code = t.code in
-          let cost_tab = t.cost_tab in
-          let limit = Array.length code in
-          while (match t.status with Running -> true | _ -> false) do
-            if t.insns_executed >= fuel then raise Out_of_fuel;
-            let eip = t.eip in
-            if eip < 0 || eip >= limit then
-              Seghw.Fault.gp (Printf.sprintf "EIP %d outside code" eip);
-            let next = exec t eip (Array.unsafe_get code eip) in
-            t.eip <- next;
-            t.insns_executed <- t.insns_executed + 1;
-            t.cycles <- t.cycles + Array.unsafe_get cost_tab eip
-          done
         | Block, None ->
           (* The superblock loop: one dispatch, one EIP store, and one
              instruction/cycle commit per straight-line region. The
@@ -2090,9 +2066,9 @@ let run ?(fuel = 4_000_000_000) t =
                 it. *)
              (if !j >= 0 then commit_partial t !bstart !j);
              raise e)
-        | (Predecoded | Block), Some _ ->
-          (* The traced stepping variant, for both fast engines:
-             identical commits plus one per-site retire count, the
+        | Block, Some _ ->
+          (* The traced loop: steps [exec] per instruction with the
+             same commits plus one per-site retire count, the
              profiler's raw input. [prof_hits] is sized to [code] by
              [set_sink]. A traced [Block] CPU neither builds nor enters
              superblocks, and its per-segment fast path emits the same

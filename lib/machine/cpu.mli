@@ -6,19 +6,20 @@
     counters: executing one bumps a named counter without consuming
     cycles — the harness's measurement channel.
 
-    Three engines implement the same semantics. {!Predecoded}
-    executes the link-time lowered program: pre-resolved branch
+    Two engines implement the same semantics. {!Block}, the default
+    ({!default_engine}), executes the linker's superblock partition —
+    each maximal straight-line region is compiled once into
+    operand-resolved closures and dispatched as a unit, with a
+    per-segment TLB fast path — while staying fault-precise: a
+    mid-block fault leaves EIP, counters, registers, and trace events
+    identical to per-instruction execution. It steps the link-time
+    lowered program one instruction at a time (pre-resolved branch
     targets, a per-site cycle-cost table, pre-interned stat counters,
-    and exception-free control flow. {!Block} additionally executes the
-    linker's superblock partition — each maximal straight-line region is
-    compiled once into operand-resolved closures and dispatched as a
-    unit, with a per-segment TLB fast path — while staying
-    fault-precise: a mid-block fault leaves EIP, counters, registers,
-    and trace events identical to per-instruction execution. It is the
-    default ({!default_engine}).
+    exception-free control flow) for fuel straddles and mid-block
+    entries, for {!step}, and whenever a trace sink is attached.
     {!Reference} is the original interpreter, kept as the oracle for the
-    equivalence suite. All three produce bit-identical cycles,
-    instruction counts, and machine state. *)
+    equivalence suite. Both produce bit-identical cycles, instruction
+    counts, and machine state. *)
 
 type status =
   | Running
@@ -27,7 +28,6 @@ type status =
 
 (** Which interpreter executes the program. *)
 type engine =
-  | Predecoded  (** the lowered fast path *)
   | Block       (** superblock dispatch over the lowered fast path
                     (default) *)
   | Reference   (** the pre-lowering interpreter — the equivalence oracle *)
@@ -128,8 +128,8 @@ val chain_insns_linked : unit -> int
     register loads, limit checks, TLB hits/misses/evictions, and
     exactly one [Fault] event per architectural fault caught by {!run}.
     It also switches {!run} to the traced stepping loop, which executes
-    one instruction at a time under either fast engine (no superblocks)
-    and counts per-site retires for the cycle profiler.
+    one instruction at a time under {!Block} too (no superblocks) and
+    counts per-site retires for the cycle profiler.
     Tracing never changes simulated semantics: cycles, stat counters,
     registers, and memory are bit-identical with and without a sink
     (pinned by the oracle suite in [test/test_predecode.ml]). *)

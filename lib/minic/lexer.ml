@@ -20,8 +20,7 @@
    consumed inside a comment or string literal, '.' after digits
    always starting a float, hex literals wrapping exactly like
    [int_of_string "0x..."]). The equivalence oracle in test_minic.ml
-   and the [bench --frontend] A/B gate hold the two implementations
-   together. *)
+   holds the two implementations together. *)
 
 exception Lex_error of string * int (* message, line *)
 

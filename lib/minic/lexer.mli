@@ -9,8 +9,7 @@
     spelling is boxed and keyword-tested once. Token stream, error
     messages, and line numbers are pinned byte-for-byte to
     {!Lexer_reference} (the original list-building lexer) by the
-    equivalence oracle in test_minic.ml and the [bench --frontend]
-    A/B gate. *)
+    equivalence oracle in test_minic.ml. *)
 
 exception Lex_error of string * int  (** message, line *)
 

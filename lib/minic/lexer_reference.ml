@@ -1,8 +1,8 @@
 (* The original list-building lexer, kept verbatim as the reference
    implementation for the table-driven scanner in [Lexer]. The token
-   equivalence oracle (test/test_minic.ml) and the frontend benchmark's
-   A/B gate (bench --frontend) both lex through this module and compare
-   against [Lexer.tokenize]; it is not on any production path. *)
+   equivalence oracle (test/test_minic.ml) lexes through this module
+   and compares against [Lexer.tokenize]; it is not on any production
+   path. *)
 
 exception Lex_error of string * int (* message, line *)
 

@@ -1,5 +1,5 @@
-(* The warm-pool request server behind [bin/cashd.exe] and
-   [bench --serve].
+(* The warm-pool request server behind [bin/cashd.exe] and the
+   benchmark's [serve] workload.
 
    A server owns a warm set (named snapshot images plus their compiled
    programs — by default the twelve Table 8 "app/backend" pairs warmed
@@ -15,8 +15,7 @@
    reused machine in place — rather than [Core.restore] building a
    fresh one. The determinism oracle (test_serve) pins that both paths
    produce byte-identical machines; [pooled = false] keeps the
-   fresh-restore path alive as the A/B baseline leg for
-   [bench --serve].
+   fresh-restore path alive as the A/B baseline ([cashd --no-pool]).
 
    Worker state lives in [Domain.DLS], so pools are per-domain and
    never contend. [Parallel.run_jobs]'s helper domains persist between
@@ -275,7 +274,7 @@ let rec take n = function
   | rest -> ([], rest)
 
 (* In-process driver: run every line, return responses in request order
-   plus the summary. [bench --serve] and the batch tests use this. *)
+   plus the summary. The batch tests use this. *)
 let run_lines t lines =
   let t0 = Unix.gettimeofday () in
   let compile_stats0 = Core.compile_cache_stats () in

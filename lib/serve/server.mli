@@ -1,8 +1,8 @@
-(** The warm-pool request server behind [bin/cashd.exe] and
-    [bench --serve]: newline-framed JSON requests ({!Protocol}) batched
-    onto the [Parallel] domain pool, served by restoring snapshot
-    images into {e reused} machines ({!Core.restore_into}) drawn from
-    per-worker {!Pool}s. *)
+(** The warm-pool request server behind [bin/cashd.exe] and the
+    benchmark's [serve] workload: newline-framed JSON requests
+    ({!Protocol}) batched onto the [Parallel] domain pool, served by
+    restoring snapshot images into {e reused} machines
+    ({!Core.restore_into}) drawn from per-worker {!Pool}s. *)
 
 (** A named warm snapshot a [replay] request can target. *)
 type warm = {
@@ -73,7 +73,7 @@ type summary = {
 val summary_to_json : summary -> Trace.Json.t
 
 (** Serve every line in-process (batching internally) and return the
-    responses in request order plus the summary — the [bench --serve]
+    responses in request order plus the summary — the in-process
     driver. *)
 val run_lines : t -> string list -> Protocol.response list * summary
 

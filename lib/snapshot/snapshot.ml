@@ -13,8 +13,8 @@
      from source; the image embeds a digest of the program identity so
      [restore] can reject a mismatch, and [restore] takes the program
      as an argument.
-   - The engine. All three engines produce bit-identical machine state,
-     so a snapshot taken under one restores under any other — the
+   - The engine. Both engines produce bit-identical machine state, so
+     a snapshot taken under one restores under the other — the
      cross-engine resume oracle in the test suite pins this.
    - Derived caches: the superblock closure set, the per-segment memory
      fast path, and the CPU's cost tables are rebuilt/invalidated by

@@ -15,9 +15,9 @@
     yields identical bytes (hashtable-backed structures are serialized
     in sorted key order), so {!digest} is an equality oracle — two
     machines are in the same state iff their snapshots digest equally.
-    The engine is deliberately {e not} part of the image: all three
-    engines produce bit-identical machine state, so a snapshot taken
-    under one engine restores under any other (the cross-engine resume
+    The engine is deliberately {e not} part of the image: both engines
+    produce bit-identical machine state, so a snapshot taken under one
+    engine restores under the other (the cross-engine resume
     oracle in the test suite pins this).
 
     The image does not embed the program (programs are immutable and

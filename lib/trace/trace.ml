@@ -257,8 +257,8 @@ module Json = struct
   exception Parse_error of string
 
   (* Recursive-descent RFC 8259 parser, sufficient for everything
-     [write] emits (and standard JSON generally): the BENCH_<n>.json
-     perf records that `bench --compare` reads back. Numbers parse to
+     [write] emits (and standard JSON generally): the [cashd] request
+     lines and the benchmark's declaration file. Numbers parse to
      [Int] when they are integral int-syntax literals and [Float]
      otherwise. *)
   let parse (s : string) : t =
@@ -420,11 +420,6 @@ module Json = struct
   (* Typed accessors over parsed records; [None] on shape mismatch. *)
   let member k = function
     | Obj kvs -> List.assoc_opt k kvs
-    | _ -> None
-
-  let to_float_opt = function
-    | Float f -> Some f
-    | Int i -> Some (float_of_int i)
     | _ -> None
 
   let to_int_opt = function Int i -> Some i | _ -> None

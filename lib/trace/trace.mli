@@ -134,20 +134,16 @@ module Json : sig
 
   exception Parse_error of string
 
-  (** Parse one JSON document — the inverse of {!to_string}, so perf
-      records (BENCH_<n>.json) written by one run can be read back by a
-      later one ([bench --compare]). Accepts standard RFC 8259 JSON;
-      integral int-syntax literals parse to [Int], other numbers to
-      [Float].
+  (** Parse one JSON document — the inverse of {!to_string}; the
+      [cashd] protocol reads its request lines with it. Accepts standard
+      RFC 8259 JSON; integral int-syntax literals parse to [Int], other
+      numbers to [Float].
       @raise Parse_error on malformed input (with a byte offset). *)
   val parse : string -> t
 
   (** [member k json] is the value of field [k] if [json] is an object
       that has it. *)
   val member : string -> t -> t option
-
-  (** [Int]s widen to float; everything non-numeric is [None]. *)
-  val to_float_opt : t -> float option
 
   val to_int_opt : t -> int option
   val to_string_opt : t -> string option

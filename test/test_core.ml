@@ -173,10 +173,21 @@ let test_shared_superblocks_bind () =
     (Machine.Cpu.blocks_bound () > bound0);
   Alcotest.(check string) "identical output" r1.Core.output r2.Core.output;
   Alcotest.(check bool) "identical cycles" true (r1.Core.cycles = r2.Core.cycles);
-  let rp = run ~engine:Machine.Cpu.Predecoded in
   let rr = run ~engine:Machine.Cpu.Reference in
-  Alcotest.(check string) "predecode agrees" r1.Core.output rp.Core.output;
   Alcotest.(check string) "reference agrees" r1.Core.output rr.Core.output
+
+(* The engine table every CLI and the cashd protocol parse through. *)
+let test_engine_names () =
+  Alcotest.(check (list string)) "engines" [ "block"; "reference" ]
+    (List.map fst Core.engines);
+  List.iter
+    (fun (name, e) ->
+      Alcotest.(check string) ("name of " ^ name) name (Core.engine_name e);
+      Alcotest.(check bool) ("parses " ^ name) true
+        (Core.engine_of_string name = Some e))
+    Core.engines;
+  Alcotest.(check bool) "predecode is no engine" true
+    (Core.engine_of_string "predecode" = None)
 
 (* With no [?engine], [Core.run] takes the ambient default, which
    starts out as the superblock engine. *)
@@ -213,6 +224,7 @@ let suite =
       test_compile_cache_lru;
     Alcotest.test_case "shared superblocks bind" `Quick
       test_shared_superblocks_bind;
+    Alcotest.test_case "engine names" `Quick test_engine_names;
     Alcotest.test_case "default engine is block" `Quick
       test_default_engine_is_block;
   ]

@@ -26,10 +26,10 @@
      started catching these would fail the pin and force the policy
      model to be updated).
 
-   Both properties run under the predecoded AND the superblock engine
-   for every seed, with the reference oracle joining on every 7th seed
-   ([Fuzz.Check.all_engines]). Within a seed, outputs must also agree
-   across engines.
+   Both properties run under the superblock engine for every seed, with
+   the reference oracle joining on every 7th seed
+   ([Fuzz.Check.all_engines]); on those seeds outputs must also agree
+   across the two engines.
 
    Every case is deterministic (own PRNG state per seed), so a failure
    message naming the seed reproduces the program exactly. On top of

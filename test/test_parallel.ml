@@ -211,23 +211,26 @@ let test_full_reproduction_oracle () =
             (Trace.attributions agg1) );
       ])
 
-(* The superblock engine must reproduce the same tables as the
-   predecoded engine, serial and fanned out — the engine identity and
-   the -j identity in one comparison. Scaled like the oracle above. *)
+(* The untraced superblock engine, serial and fanned out, must render
+   the tables whose digests the traced run above pins — the trace
+   identity and the -j identity in one comparison. Scaled like the
+   oracle above. *)
 let test_block_engine_oracle () =
   let exps () = Harness.Suite.all ~table8_requests:10 () in
-  let under engine jobs =
+  let under jobs =
     let saved = Core.default_engine () in
-    Core.set_default_engine engine;
+    Core.set_default_engine Machine.Cpu.Block;
     Fun.protect
       ~finally:(fun () -> Core.set_default_engine saved)
-      (fun () -> render (Harness.Suite.run_all ~jobs (exps ())))
+      (fun () ->
+        List.map2
+          (fun (ex : Harness.Suite.experiment) r ->
+            (ex.Harness.Suite.name, Format.asprintf "%a" Harness.Report.pp r))
+          (exps ())
+          (Harness.Suite.run_all ~jobs (exps ())))
   in
-  let base = under Machine.Cpu.Predecoded 1 in
-  Alcotest.(check string) "block -j1 = predecode -j1" base
-    (under Machine.Cpu.Block 1);
-  Alcotest.(check string) "block -j4 = predecode -j1" base
-    (under Machine.Cpu.Block 4)
+  Golden.check ~partial:true "repro" (under 1);
+  Golden.check ~partial:true "repro" (under 4)
 
 (* Against a single ambient sink shared by a strictly serial pass (the
    pre-parallel bench's tracing mode): the pure sums — counters,
@@ -277,7 +280,8 @@ let suite =
     Alcotest.test_case "sink merge sums exactly" `Quick test_merge_sums_exactly;
     Alcotest.test_case "full reproduction: -j1 = -j4 (oracle)" `Slow
       test_full_reproduction_oracle;
-    Alcotest.test_case "block engine: -j1 and -j4 = predecode (oracle)" `Slow
+    Alcotest.test_case "block engine: -j1 and -j4 = golden tables (oracle)"
+      `Slow
       test_block_engine_oracle;
     Alcotest.test_case "merged sinks = single-sink sums" `Slow
       test_merged_matches_single_sink;

@@ -1,10 +1,11 @@
-(* The fast execution engines against their oracle.
+(* The block engine against its oracle.
 
-   Both fast interpreters — the pre-decoded engine (pre-resolved branch
-   targets, tabulated cycle costs, pre-interned stat counters,
-   exception-free control flow) and the superblock engine layered on top
-   of it (closure-compiled straight-line regions, per-segment TLB fast
-   path) — must be observationally indistinguishable from the reference
+   Both of the block engine's execution paths — untraced, the
+   superblocks (closure-compiled straight-line regions, per-segment TLB
+   fast path); traced, the per-instruction [exec] step over the
+   pre-decoded program (pre-resolved branch targets, tabulated cycle
+   costs, pre-interned stat counters, exception-free control flow) —
+   must be observationally indistinguishable from the reference
    interpreter they replaced on the hot path: identical simulated
    cycles, instruction counts, limit-check counts, program output, stat
    counters, and final register/memory state — the
@@ -36,17 +37,19 @@ let phys_of (r : Core.run) = Osim.Process.phys r.Core.process
 let all_gp =
   Machine.Registers.[ EAX; EBX; ECX; EDX; ESI; EDI; EBP; ESP ]
 
-(* Run [compiled] under every fast engine and assert each observable
-   equal to the reference oracle's. [Core.run] loads a fresh process
-   each time, so the runs share nothing but the linked program. *)
-let fast_engines =
-  [ ("predecode", Machine.Cpu.Predecoded); ("block", Machine.Cpu.Block) ]
+(* Run [compiled] under the block engine, untraced (superblocks) and
+   with a fresh sink (every instruction through [exec]), and assert each
+   observable equal to the reference oracle's. [Core.run] loads a fresh
+   process each time, so the runs share nothing but the linked
+   program. *)
+let fast_legs = [ ("block", false); ("block-traced", true) ]
 
 let check_equivalent name compiled =
   let slow = Core.run ~engine:Machine.Cpu.Reference compiled in
-  List.iter (fun (ename, engine) ->
+  List.iter (fun (ename, traced) ->
   let name = name ^ "[" ^ ename ^ "]" in
-  let fast = Core.run ~engine compiled in
+  let trace = if traced then Some (Trace.create ()) else None in
+  let fast = Core.run ~engine:Machine.Cpu.Block ?trace compiled in
   Alcotest.(check string)
     (name ^ ": status")
     (status_str slow.Core.status)
@@ -95,7 +98,7 @@ let check_equivalent name compiled =
         (Machine.Phys_mem.read8 pf addr)
         (Machine.Phys_mem.read8 ps addr)
   done)
-    fast_engines
+    fast_legs
 
 let check_equivalent_src name backend source =
   check_equivalent name (Core.compile backend source)
@@ -167,39 +170,31 @@ let check_run_identical name (a : Core.run) (b : Core.run) =
     (Machine.Cpu.stats (Osim.Process.cpu b.Core.process))
 
 let check_traced_equivalent name compiled =
-  let untraced = Core.run ~engine:Machine.Cpu.Predecoded compiled in
-  let sink_fast = Trace.create () in
-  let fast =
-    Core.run ~engine:Machine.Cpu.Predecoded ~trace:sink_fast compiled
-  in
-  check_run_identical (name ^ "/traced-vs-untraced") untraced fast;
+  let untraced = Core.run ~engine:Machine.Cpu.Block compiled in
   let sink_blk = Trace.create () in
   let blk = Core.run ~engine:Machine.Cpu.Block ~trace:sink_blk compiled in
-  check_run_identical (name ^ "/traced-block") fast blk;
+  check_run_identical (name ^ "/traced-vs-untraced") untraced blk;
   let sink_ref = Trace.create () in
   let slow = Core.run ~engine:Machine.Cpu.Reference ~trace:sink_ref compiled in
-  check_run_identical (name ^ "/traced-engines") fast slow;
+  check_run_identical (name ^ "/traced-engines") blk slow;
   let attr (sym, insns, cycles) =
     Printf.sprintf "%s insns=%d cycles=%d" sym insns cycles
   in
-  List.iter (fun (ename, sink) ->
-      Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "%s: event counters, %s vs reference" name ename)
-        (Trace.counters sink_ref) (Trace.counters sink);
-      Alcotest.(check int)
-        (Printf.sprintf "%s: total events, %s vs reference" name ename)
-        (Trace.total_events sink_ref)
-        (Trace.total_events sink);
-      Alcotest.(check int)
-        (Printf.sprintf "%s: reload-interval samples, %s vs reference" name
-           ename)
-        (Trace.Histogram.total (Trace.reload_interval sink_ref))
-        (Trace.Histogram.total (Trace.reload_interval sink));
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s: cycle attribution, %s vs reference" name ename)
-        (List.map attr (Trace.attributions sink_ref))
-        (List.map attr (Trace.attributions sink)))
-    [ ("predecode", sink_fast); ("block", sink_blk) ]
+  Alcotest.(check (list (pair string int)))
+    (name ^ ": event counters, block vs reference")
+    (Trace.counters sink_ref) (Trace.counters sink_blk);
+  Alcotest.(check int)
+    (name ^ ": total events, block vs reference")
+    (Trace.total_events sink_ref)
+    (Trace.total_events sink_blk);
+  Alcotest.(check int)
+    (name ^ ": reload-interval samples, block vs reference")
+    (Trace.Histogram.total (Trace.reload_interval sink_ref))
+    (Trace.Histogram.total (Trace.reload_interval sink_blk));
+  Alcotest.(check (list string))
+    (name ^ ": cycle attribution, block vs reference")
+    (List.map attr (Trace.attributions sink_ref))
+    (List.map attr (Trace.attributions sink_blk))
 
 let test_traced_equiv () =
   check_traced_equivalent "matmul/cash"

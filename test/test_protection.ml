@@ -14,13 +14,11 @@
    - GANDALF-style capability semantics: pointer arithmetic that
      escapes the bounds clears the tag (and emits the typed trace
      event); one-past-the-end arithmetic keeps it;
-   - three-engine equivalence on in-bounds programs, including the
+   - two-engine equivalence on in-bounds programs, including the
      trace-event counts of the bound-table walks. *)
 
 let engines =
-  [ ("predecoded", Machine.Cpu.Predecoded);
-    ("block", Machine.Cpu.Block);
-    ("reference", Machine.Cpu.Reference) ]
+  [ ("block", Machine.Cpu.Block); ("reference", Machine.Cpu.Reference) ]
 
 let new_backends = [ ("mpx", Core.mpx); ("cap", Core.cap) ]
 
@@ -232,7 +230,7 @@ int main() {
   Alcotest.(check bool) "cap finishes" true (c.Core.status = Core.Finished);
   Alcotest.(check string) "same output as gcc" g.Core.output c.Core.output
 
-(* --- three-engine equivalence -------------------------------------------- *)
+(* --- engine equivalence -------------------------------------------------- *)
 
 (* Enough pointer traffic to exercise the FCFS bound-register
    allocation, the bound-table spill protocol across calls, and the

@@ -13,9 +13,7 @@
    [Core.run]s. *)
 
 let engines =
-  [ ("predecoded", Machine.Cpu.Predecoded);
-    ("block", Machine.Cpu.Block);
-    ("reference", Machine.Cpu.Reference) ]
+  [ ("block", Machine.Cpu.Block); ("reference", Machine.Cpu.Reference) ]
 
 let matmul () = Core.compile Core.gcc (Workloads.Micro.matmul ~n:6 ())
 let cash_matmul () = Core.compile Core.cash (Workloads.Micro.matmul ~n:6 ())
@@ -416,6 +414,29 @@ let test_protocol_round_trip () =
       {|{"op": "compile-and-run", "backend": "tcc", "source": "x"}|};
       {|{"op": "replay", "snapshot": "s", "engine": "warp"}|} ]
 
+(* An engine name outside [Core.engines] is a request-level error; the
+   rest of the batch is still served. *)
+let test_unknown_engine_request () =
+  let line engine =
+    Printf.sprintf
+      {|{"op": "compile-and-run", "backend": "gcc", "source": %S, "engine": %S}|}
+      tiny_src engine
+  in
+  (match Serve.Protocol.parse_request ~default_id:1 (line "predecode") with
+   | Error e ->
+     Alcotest.(check string) "parse error" "unknown engine \"predecode\"" e
+   | Ok _ -> Alcotest.fail "accepted engine \"predecode\"");
+  let server = Serve.Server.create ~jobs:1 ~warms:[] () in
+  let responses, summary =
+    Serve.Server.run_lines server [ line "predecode"; line "block" ]
+  in
+  Alcotest.(check (list (option string))) "error, then ok"
+    [ Some "unknown engine \"predecode\""; None ]
+    (List.map (fun r -> r.Serve.Protocol.rs_error) responses);
+  Alcotest.(check string) "the valid request ran" "42\n"
+    (List.nth responses 1).Serve.Protocol.rs_output;
+  Alcotest.(check int) "one error" 1 summary.Serve.Server.errors
+
 let suite =
   [
     Alcotest.test_case "restore_into: pooled = fresh digest, all engines"
@@ -438,6 +459,8 @@ let suite =
       test_server_streams_channels;
     Alcotest.test_case "server: retained state stays bounded" `Quick
       test_server_state_bounded;
+    Alcotest.test_case "protocol: unknown engine is one request error" `Quick
+      test_unknown_engine_request;
     Alcotest.test_case "protocol: round-trip and rejection" `Quick
       test_protocol_round_trip;
   ]

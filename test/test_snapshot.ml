@@ -8,9 +8,7 @@
    was never interrupted, on any engine, including across engines. *)
 
 let engines =
-  [ ("predecoded", Machine.Cpu.Predecoded);
-    ("block", Machine.Cpu.Block);
-    ("reference", Machine.Cpu.Reference) ]
+  [ ("block", Machine.Cpu.Block); ("reference", Machine.Cpu.Reference) ]
 
 let matmul () = Core.compile Core.gcc (Workloads.Micro.matmul ~n:6 ())
 let cash_matmul () = Core.compile Core.cash (Workloads.Micro.matmul ~n:6 ())
@@ -110,7 +108,6 @@ let test_cross_engine_resume () =
     [
       (("block", Machine.Cpu.Block), ("reference", Machine.Cpu.Reference));
       (("reference", Machine.Cpu.Reference), ("block", Machine.Cpu.Block));
-      (("predecoded", Machine.Cpu.Predecoded), ("block", Machine.Cpu.Block));
     ]
 
 (* A mid-block checkpoint request steps forward to the next superblock
@@ -143,8 +140,8 @@ let test_mid_block_alignment_deterministic () =
 
 (* A snapshot taken while the block engine is running a hot loop under
    real block dispatch: finishing from the same bytes under the block
-   engine and under the per-instruction engine lands on the same digest
-   as an uninterrupted reference run. *)
+   engine and under the reference engine lands on the same digest as an
+   uninterrupted reference run. *)
 let test_snapshot_mid_hot_loop () =
   let compiled = cash_matmul () in
   let baseline = Core.run ~engine:Machine.Cpu.Reference compiled in
@@ -164,12 +161,12 @@ let test_snapshot_mid_hot_loop () =
   let under_block =
     Core.finish (Core.restore ~engine:Machine.Cpu.Block compiled bytes)
   in
-  let under_predecode =
-    Core.finish (Core.restore ~engine:Machine.Cpu.Predecoded compiled bytes)
+  let under_reference =
+    Core.finish (Core.restore ~engine:Machine.Cpu.Reference compiled bytes)
   in
-  Alcotest.(check string) "digest: block finish = predecode finish"
+  Alcotest.(check string) "digest: block finish = reference finish"
     (Core.state_digest (Core.state_of_run compiled under_block))
-    (Core.state_digest (Core.state_of_run compiled under_predecode));
+    (Core.state_digest (Core.state_of_run compiled under_reference));
   Alcotest.(check string) "digest: = uninterrupted reference run"
     (Core.state_digest (Core.state_of_run compiled baseline))
     (Core.state_digest (Core.state_of_run compiled under_block));

@@ -773,8 +773,7 @@ let test_declared_kinds_suffice () =
           agree (pname ^ " / " ^ ename) (fun sink ->
               ignore (Core.run ~engine ~trace:sink compiled)))
         programs)
-    [ ("block", Machine.Cpu.Block); ("predecode", Machine.Cpu.Predecoded);
-      ("reference", Machine.Cpu.Reference) ];
+    [ ("block", Machine.Cpu.Block); ("reference", Machine.Cpu.Reference) ];
   List.iteri
     (fun i events ->
       agree (Printf.sprintf "out-of-spec stream %d" i) (fun sink ->
@@ -888,7 +887,8 @@ let test_json_parse_roundtrip () =
     (Trace.Json.to_string reparsed)
 
 let test_json_parse_record () =
-  (* The shape bench --compare reads: a BENCH_<n>.json perf record. *)
+  (* A BENCH_<n>.json perf record, read through the typed accessors the
+     cashd protocol uses. *)
   let json =
     Trace.Json.parse
       {|{"schema":4,"bench":"full-reproduction","engine":"block",
@@ -900,15 +900,8 @@ let test_json_parse_record () =
     (fld "schema" Trace.Json.to_int_opt);
   Alcotest.(check (option string)) "engine" (Some "block")
     (fld "engine" Trace.Json.to_string_opt);
-  Alcotest.(check (option (float 1e-9))) "wall" (Some 95.31)
-    (fld "wall_seconds" Trace.Json.to_float_opt);
-  Alcotest.(check (option (float 1e0))) "ips" (Some 4.26e7)
-    (fld "ips" Trace.Json.to_float_opt
-     |> function None -> fld "insns_per_host_second" Trace.Json.to_float_opt
-               | some -> some);
-  (* ints widen through to_float_opt *)
-  Alcotest.(check (option (float 1e-9))) "int widens" (Some 4.0)
-    (fld "jobs" Trace.Json.to_float_opt)
+  Alcotest.(check bool) "floats parse to Float" true
+    (Trace.Json.member "wall_seconds" json = Some (Trace.Json.Float 95.31))
 
 let test_json_parse_rejects () =
   let rejects s =
