@@ -1,8 +1,9 @@
-(* The benchmark harness: regenerates every table and figure of the paper
-   (printing the reproduced rows next to the paper's numbers) and reports
-   the host throughput of the run.
+(* The one reproduction CLI and benchmark harness: regenerates the
+   paper's tables and figures (printing the reproduced rows next to the
+   paper's numbers) and reports the host throughput of the run.
 
      dune exec bench/main.exe                   # the full reproduction
+     dune exec bench/main.exe -- table1 figure2 # just these experiments
      dune exec bench/main.exe -- --trace        # + trace/profile JSON
      dune exec bench/main.exe -- -j 4           # reproduction across 4 domains
      dune exec bench/main.exe -- --engine=reference
@@ -15,13 +16,16 @@
                                                 # the same, at one job, under
                                                 # the shipped checker plugins
 
-   Any other argument, a malformed -j, or an unknown engine exits 2 with
-   the usage line. Per-layer timing of these pipelines is perfbench/'s
-   job; this harness times only the whole reproduction.
+   An experiment is named as in [Harness.Suite.all], or
+   [ablation-dynamics]; the named ones (all, if none is) run and print
+   in list order. Any argument bench does not parse is a usage error
+   (exit 124), as is --ab with --matrix or --trace. Per-layer timing of
+   these pipelines is perfbench/'s job; this harness times only the
+   whole reproduction.
 
-   The reproduction pass runs its 14 experiments as independent jobs on
-   a Domain pool (lib/parallel): -j N picks the worker count, defaulting
-   to the CASH_JOBS environment variable or
+   The reproduction pass runs the selected experiments as independent
+   jobs on a Domain pool (lib/parallel): -j N picks the worker count,
+   defaulting to the CASH_JOBS environment variable or
    Domain.recommended_domain_count. Reports are collected by job index
    and printed in experiment order, so the table/figure output is
    byte-identical at any -j; simulated cycle counts are engine-, trace-
@@ -38,13 +42,19 @@
    per-function cycle attribution plus segment/TLB/fault/LDT event
    counts, all summing exactly to a serial run's. *)
 
-(* --quick scales the experiment that dominates wall time (Table 8's
-   request count) down so a two-engine A/B gate fits in a CI minute;
-   every table still regenerates, so engine regressions anywhere in the
-   suite are caught, just on smaller workloads. *)
+(* Every experiment bench runs: [Harness.Suite.all] — the list the
+   benchmark's [repro] workload and the oracle tests share — plus the
+   software-check dynamics behind the register-budget ablation, kept
+   out of [Suite.all] because perfbench digests every [Suite] entry
+   against its own golden file. --quick scales the experiment that
+   dominates wall time (Table 8's request count) down so a two-engine
+   A/B gate fits in a CI minute; every table still regenerates, so
+   engine regressions anywhere in the suite are caught, just on smaller
+   workloads. *)
 let experiments ~quick =
-  if quick then Harness.Suite.all ~table8_requests:5 ()
-  else Harness.Suite.all ()
+  Harness.Suite.all ?table8_requests:(if quick then Some 5 else None) ()
+  @ [ Harness.Suite.simple "ablation-dynamics"
+        Harness.Ablation.sw_check_dynamics ]
 
 let print_reports reports =
   print_endline
@@ -348,81 +358,68 @@ let run_ab ~experiments ~jobs ~quick =
 
 (* --- arguments ----------------------------------------------------------- *)
 
-let usage =
-  Printf.sprintf
-    "usage: bench [--quick] [--ab | [--matrix] [--trace]] [--engine %s] \
-     [-j N]"
-    (String.concat "|" (List.map fst Core.engines))
+open Cmdliner
 
-let usage_error fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "bench: %s\n%s\n" msg usage;
-      exit 2)
-    fmt
+let names =
+  List.map (fun (e : Harness.Suite.experiment) -> e.name)
+    (experiments ~quick:false)
 
-type args = {
-  quick : bool;
-  traced : bool;
-  ab : bool;
-  matrix : bool;
-  engine : Machine.Cpu.engine;
-  jobs : int option;
-}
+let selected =
+  let doc =
+    "Experiments to run, printed in this order (default: all): "
+    ^ String.concat ", " names ^ "."
+  in
+  Arg.(value & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+       & info [] ~docv:"EXPERIMENT" ~doc)
 
-(* Every argument must parse: a flag this harness does not know would
-   otherwise run the full reproduction and exit 0. The -j forms are
-   Parallel.jobs_of_argv's. *)
-let parse_args argv =
-  let engine name =
-    match Core.engine_of_string name with
-    | Some e -> e
-    | None -> usage_error "unknown engine %S" name
-  in
-  let jobs slice =
-    try Parallel.jobs_of_argv slice with Failure msg -> usage_error "%s" msg
-  in
-  let rec go a = function
-    | [] -> a
-    | "--quick" :: rest -> go { a with quick = true } rest
-    | "--trace" :: rest -> go { a with traced = true } rest
-    | "--ab" :: rest -> go { a with ab = true } rest
-    | "--matrix" :: rest -> go { a with matrix = true } rest
-    | [ "--engine" ] -> usage_error "--engine: missing engine name"
-    | "--engine" :: name :: rest -> go { a with engine = engine name } rest
-    | "-j" :: n :: rest -> go { a with jobs = jobs [| "-j"; n |] } rest
-    | arg :: rest when String.starts_with ~prefix:"--engine=" arg ->
-      let name = String.sub arg 9 (String.length arg - 9) in
-      go { a with engine = engine name } rest
-    | arg :: rest
-      when String.starts_with ~prefix:"-j" arg
-           || String.starts_with ~prefix:"--jobs=" arg ->
-      go { a with jobs = jobs [| arg |] } rest
-    | arg :: _ -> usage_error "unknown argument %S" arg
-  in
-  let a =
-    go
-      { quick = false; traced = false; ab = false; matrix = false;
-        engine = Core.default_engine (); jobs = None }
-      (List.tl (Array.to_list argv))
-  in
-  (* A traced Block run steps per instruction: it has no lead to gate. *)
-  if a.ab && (a.matrix || a.traced) then
-    usage_error "--ab takes neither --matrix nor --trace";
-  a
+let flag name doc = Arg.(value & flag & info [ name ] ~doc)
+let quick = flag "quick" "Table 8 at 5 requests per server, not 25."
+let traced =
+  flag "trace" "Run under the shipped checker plugins; exit 1 on a violation."
+let ab = flag "ab" "Gate the block engine against the reference engine."
+let matrix = flag "matrix" "Run the five-scheme protection matrix."
+
+let engine =
+  Arg.(value & opt (enum Core.engines) (Core.default_engine ())
+       & info [ "engine" ] ~docv:"ENGINE"
+           ~doc:"CPU interpreter for every run. Output is byte-identical \
+                 across engines.")
+
+let jobs =
+  Arg.(value & opt (some int) None
+       & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Worker domains (default: CASH_JOBS or the recommended \
+                 domain count). Output is byte-identical at any value.")
+
+let run selected quick traced ab matrix engine jobs =
+  match (match jobs with Some j -> j | None -> Parallel.default_jobs ()) with
+  | exception Failure msg -> `Error (false, msg)  (* a malformed CASH_JOBS *)
+  | jobs when jobs < 1 -> `Error (true, "-j: expected a positive integer")
+  | _ when ab && (matrix || traced) ->
+    (* A traced Block run steps per instruction: it has no lead to gate. *)
+    `Error (true, "--ab takes neither --matrix nor --trace")
+  | _ when matrix && selected <> [] ->
+    `Error (true, "--matrix takes no EXPERIMENT")
+  | jobs ->
+    (if matrix then run_matrix ~quick ~engine ~jobs ~traced
+     else
+       let experiments =
+         List.filter
+           (fun (e : Harness.Suite.experiment) ->
+             selected = [] || List.mem e.name selected)
+           (experiments ~quick)
+       in
+       if ab then run_ab ~experiments ~jobs ~quick
+       else
+         ignore
+           (run_reproduction ~experiments ~engine ~jobs ~traced ~quick
+              ~print_tables:true));
+    `Ok ()
 
 let () =
-  let a = parse_args Sys.argv in
-  let jobs =
-    match a.jobs with Some j -> j | None -> Parallel.default_jobs ()
-  in
-  let quick = a.quick and traced = a.traced in
-  if a.matrix then run_matrix ~quick ~engine:a.engine ~jobs ~traced
-  else begin
-    let experiments = experiments ~quick in
-    if a.ab then run_ab ~experiments ~jobs ~quick
-    else
-      ignore
-        (run_reproduction ~experiments ~engine:a.engine ~jobs ~traced ~quick
-           ~print_tables:true)
-  end
+  let doc = "reproduce the tables and figures of the Cash paper (DSN 2005)" in
+  exit
+    (Cmd.eval
+       (Cmd.v (Cmd.info "bench" ~doc)
+          Term.(ret (const run $ selected $ quick $ traced $ ab $ matrix
+                     $ engine $ jobs))))

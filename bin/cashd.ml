@@ -1,4 +1,4 @@
-(* cashd: the warm-pool request server.
+(* cashd: the warm-machine request server.
 
      dune exec bin/cashd.exe                        # serve stdin -> stdout
      dune exec bin/cashd.exe -- -j 4 --batch 128
@@ -36,14 +36,7 @@ let batch =
        info [ "batch" ] ~docv:"N"
          ~doc:"Requests dispatched per parallel batch (responses are \
                flushed per batch). Worker domains and their warm \
-               machine pools persist across batches.")
-
-let no_pool =
-  Arg.(value & flag &
-       info [ "no-pool" ]
-         ~doc:"Serve every request through a fresh machine build + \
-               restore instead of the warm pool (the A/B baseline; \
-               responses are byte-identical, only slower).")
+               machines persist across batches.")
 
 let no_warm =
   Arg.(value & flag &
@@ -103,7 +96,7 @@ let serve_socket server path max_conns =
   Unix.close sock;
   (try Unix.unlink path with Unix.Unix_error _ -> ())
 
-let run engine jobs batch no_pool no_warm socket max_conns gen_requests =
+let run engine jobs batch no_warm socket max_conns gen_requests =
   match gen_requests with
   | Some n ->
     List.iter print_endline
@@ -112,10 +105,7 @@ let run engine jobs batch no_pool no_warm socket max_conns gen_requests =
   | None ->
     Core.set_default_engine engine;
     let warms = if no_warm then [] else Serve.Server.table8_warms ?jobs () in
-    let server =
-      Serve.Server.create ?jobs ~batch ~pooled:(not no_pool) ~engine ~warms
-        ()
-    in
+    let server = Serve.Server.create ?jobs ~batch ~engine ~warms () in
     (match socket with
      | Some path -> serve_socket server path max_conns
      | None ->
@@ -130,9 +120,9 @@ let run engine jobs batch no_pool no_warm socket max_conns gen_requests =
     0
 
 let cmd =
-  let doc = "warm-pool request server for the simulated segmented x86" in
+  let doc = "warm-machine request server for the simulated segmented x86" in
   Cmd.v (Cmd.info "cashd" ~doc)
-    Term.(const run $ engine $ jobs $ batch $ no_pool $ no_warm
-          $ socket $ max_conns $ gen_requests)
+    Term.(const run $ engine $ jobs $ batch $ no_warm $ socket $ max_conns
+          $ gen_requests)
 
 let () = exit (Cmd.eval' cmd)

@@ -95,9 +95,6 @@ let to_json sink st =
 let spec : Trace.Plugin.spec =
   {
     p_name = name;
-    p_doc =
-      "every failed segment-limit check is immediately answered by a \
-       #GP/#SS fault";
     p_kinds = [ Trace.K_limit_check_fail ];
     p_init = (fun () -> S { pending = false; fails = 0; stopped = 0 });
     p_on_event = on_event;

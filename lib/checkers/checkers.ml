@@ -1,8 +1,7 @@
 (* The shipped checker plugins, Checkbochs-style: one hardware-level
    property per small module, each a [Trace.Plugin.spec] over the typed
-   event stream. Attach them all with [attach_shipped], or pick one by
-   name through the registry ([Trace.Plugin.find]) after [all] has been
-   forced (referencing this module registers every shipped spec). *)
+   event stream. Attach them all with [attach_shipped], or one by its
+   module's [spec]. *)
 
 module Bounds_precision = Bounds_precision
 module Stack_smash = Stack_smash
@@ -16,8 +15,6 @@ let all : Trace.Plugin.spec list =
     Ldt_reuse.spec;
     Fault_consistency.spec;
   ]
-
-let () = List.iter Trace.Plugin.register all
 
 (* Instantiate every shipped plugin on [sink]. *)
 let attach_shipped sink = List.iter (Trace.attach sink) all

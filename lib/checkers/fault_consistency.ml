@@ -126,9 +126,6 @@ let to_json sink st =
 let spec : Trace.Plugin.spec =
   {
     p_name = name;
-    p_doc =
-      "sink counters match delivered events and the hardware's own counts; \
-       failed checks never exceed protection faults";
     p_kinds = kinds;
     p_init = (fun () -> S { counts = Array.make Trace.num_kinds 0 });
     p_on_event = on_event;

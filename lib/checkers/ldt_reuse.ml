@@ -83,9 +83,6 @@ let to_json _sink st =
 let spec : Trace.Plugin.spec =
   {
     p_name = name;
-    p_doc =
-      "no segment register is loaded from an LDT slot after the slot was \
-       cleared";
     p_kinds =
       [ Trace.K_segreg_load; Trace.K_modify_ldt; Trace.K_cash_modify_ldt ];
     p_init =

@@ -114,9 +114,6 @@ let to_json _sink st =
 let spec : Trace.Plugin.spec =
   {
     p_name = name;
-    p_doc =
-      "failing writes into the live stack region must be stopped by a \
-       protection fault";
     p_kinds = [ Trace.K_limit_check_pass; Trace.K_limit_check_fail ];
     p_init =
       (fun () ->

@@ -94,7 +94,7 @@ let compile backend source =
    distinct sources must not retain every program ever compiled, and a
    hot set smaller than the capacity survives any stream of one-shot
    sources with its program identity intact (so the server's per-worker
-   machine pools, keyed on that identity, keep hitting). Finding the
+   warm machines, keyed on that identity, keep hitting). Finding the
    victim scans the table, a handful of entries. The bound is
    deliberately SMALL — each
    retained [compiled] pins its program and, through the block engine's
@@ -103,10 +103,9 @@ let compile backend source =
    heavy allocation, frequent major cycles) every retained program
    costs measurable marking time: the check phase ran 360/339/310/282
    programs/s at capacity 8/16/32/64 on the 1-core reference host.
-   The in-repo reuse workloads (serve's mixed load, the pool restores,
-   the bench probes) cycle at most a handful of distinct sources, so 8
-   loses them nothing; a deployment serving a wider hot set can raise
-   it with CASH_COMPILE_CACHE_CAP. Compilation runs OUTSIDE the lock so
+   The in-repo reuse workloads (serve's mixed load, the restore tests,
+   the benchmark's probes) cycle at most a handful of distinct sources,
+   so 8 loses them nothing. Compilation runs OUTSIDE the lock so
    concurrent fleet workers never serialise their compiles; when two
    domains race the same key, the first store wins and the loser adopts
    the winner's value (keeping program identity process-unique). *)
@@ -122,10 +121,7 @@ let touch e =
   e.c_used <- !compile_cache_clock;
   e.c_compiled
 
-let compile_cache_capacity =
-  match Sys.getenv_opt "CASH_COMPILE_CACHE_CAP" with
-  | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 8)
-  | None -> 8
+let compile_cache_capacity = 8
 let compile_cache_hits = Atomic.make 0
 let compile_cache_misses = Atomic.make 0
 
@@ -422,6 +418,3 @@ let write_file path contents =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
-
-(* Kept for the original scaffold's smoke test. *)
-let placeholder () = ()

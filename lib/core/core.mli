@@ -65,8 +65,7 @@ val compile : backend -> string -> compiled
     pass through. Safe from any domain. *)
 val compile_cached : backend -> string -> compiled
 
-(** How many programs {!compile_cached} retains: 8, or the
-    [CASH_COMPILE_CACHE_CAP] environment variable read at start-up. *)
+(** How many programs {!compile_cached} retains: 8. *)
 val compile_cache_capacity : int
 
 (** [(hits, misses)] of {!compile_cached} since process start. *)
@@ -230,6 +229,3 @@ val read_file : string -> string
 (** Write a whole file (binary, truncating), closing the channel even
     if the write raises. *)
 val write_file : string -> string -> unit
-
-(** Retained for the original scaffold's smoke test. *)
-val placeholder : unit -> unit

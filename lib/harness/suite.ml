@@ -1,15 +1,16 @@
 (* The canonical experiment list — every table and figure of the paper —
    and the parallel driver that regenerates them.
 
-   One list shared by bench/main.exe, the benchmark's [repro] workload
-   and the serial-vs-parallel oracle test, so "the full reproduction"
-   means the same experiments in each. bin/experiments.exe keeps its
-   own list: its names differ ([security] for [ablation-security]), and
-   its [ablation] entry also prints the software-check dynamics. Each experiment builds its own kernel,
-   machine, and MMU, making the jobs independent and deterministic;
-   [run_all] fans them out over [Parallel.run_jobs] and returns the
-   reports in list order, so the printed output is byte-identical to a
-   serial run at any [-j].
+   One list shared by bench/main.exe (the reproduction CLI, which
+   selects from it by name), the benchmark's [repro] workload and the
+   serial-vs-parallel oracle tests, so "the full reproduction" means
+   the same experiments in each. bench adds one entry of its own,
+   [ablation-dynamics], kept out of this list because perfbench
+   digests every entry here against its own golden file. Each
+   experiment builds its own kernel, machine, and MMU, making the jobs
+   independent and deterministic; [run_all] fans them out over
+   [Parallel.run_jobs] and returns the reports in list order, so the
+   printed output is byte-identical to a serial run at any [-j].
 
    Table 8 is special-cased: its serial closure reruns every server once
    per request, which made it the monolithic job that bounded the whole

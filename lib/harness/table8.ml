@@ -11,8 +11,6 @@
    Space overhead is the program image (text + initialised data),
    mirroring the statically-linked binary sizes the paper reports. *)
 
-let default_requests = 50
-
 let serve backend source ~requests =
   let kernel = Osim.Kernel.create () in
   let compiled = Core.compile backend source in
@@ -66,7 +64,7 @@ let make_report rows =
       ]
     ()
 
-let run ?(requests = default_requests) () =
+let run ~requests () =
   let rows =
     List.map
       (fun (a : Workloads.Netapps.app) ->
@@ -193,27 +191,3 @@ let assemble ~(warms : warm list) ~(runs : served list list) =
     | _ -> invalid_arg "Table8.assemble: warms/runs out of step"
   in
   make_report (rows warms runs apps)
-
-(* The whole split as one call, for CLI entry points that run Table 8 by
-   itself ([Suite.run_all] interleaves the same warm/request jobs with
-   the other experiments instead). Byte-identical to [run] at any
-   [jobs]. *)
-let run_split ?jobs ?(requests = default_requests) () =
-  let pairs = split_pairs () in
-  let warms =
-    Array.to_list
-      (Parallel.run_jobs ?jobs
-         (Array.of_list (List.map (fun p () -> warm p) pairs)))
-  in
-  let tasks =
-    List.concat_map
-      (fun w -> List.init requests (fun i () -> request w i))
-      warms
-  in
-  let all_runs = Parallel.run_jobs ?jobs (Array.of_list tasks) in
-  let runs =
-    List.mapi
-      (fun k _ -> Array.to_list (Array.sub all_runs (k * requests) requests))
-      warms
-  in
-  assemble ~warms ~runs

@@ -9,7 +9,12 @@ let error fmt = Printf.ksprintf (fun msg -> raise (Type_error msg)) fmt
 type env = {
   mutable next_sym : int;
   mutable next_loop : int;
-  mutable scopes : (string, Ir.sym) Hashtbl.t list;
+  names : (string, Ir.sym * int) Hashtbl.t;
+      (* every visible name, with the depth of the scope that declared
+         it; an inner declaration shadows an outer one ([Hashtbl.add]) *)
+  mutable scopes : string list list;
+      (* the names each open scope declared, innermost first *)
+  mutable depth : int;  (* open scopes *)
   funcs : (string, Ir.sym * Ast.ty list) Hashtbl.t; (* sig: param types *)
   mutable strings : string list; (* reversed *)
   mutable string_count : int;
@@ -48,29 +53,33 @@ let fresh_loop env =
   env.next_loop <- env.next_loop + 1;
   { Ir.loop_id = id }
 
-let push_scope env = env.scopes <- Hashtbl.create 16 :: env.scopes
+(* One table of visible names instead of one per scope, so lookup and
+   the redeclaration check cost O(1) however deeply blocks nest. *)
+let push_scope env =
+  env.scopes <- [] :: env.scopes;
+  env.depth <- env.depth + 1
+
 let pop_scope env =
   match env.scopes with
-  | _ :: rest -> env.scopes <- rest
+  | declared :: rest ->
+    List.iter (Hashtbl.remove env.names) declared;
+    env.scopes <- rest;
+    env.depth <- env.depth - 1
   | [] -> assert false
 
 let declare env sym =
+  let name = sym.Ir.name in
   match env.scopes with
-  | scope :: _ ->
-    if Hashtbl.mem scope sym.Ir.name then
-      error "redeclaration of '%s'" sym.Ir.name;
-    Hashtbl.add scope sym.Ir.name sym
+  | declared :: rest ->
+    (match Hashtbl.find_opt env.names name with
+     | Some (_, depth) when depth = env.depth ->
+       error "redeclaration of '%s'" name
+     | _ -> ());
+    Hashtbl.add env.names name (sym, env.depth);
+    env.scopes <- (name :: declared) :: rest
   | [] -> assert false
 
-let lookup env name =
-  let rec go = function
-    | [] -> None
-    | scope :: rest ->
-      (match Hashtbl.find_opt scope name with
-       | Some s -> Some s
-       | None -> go rest)
-  in
-  go env.scopes
+let lookup env name = Option.map fst (Hashtbl.find_opt env.names name)
 
 let intern_string env s =
   let id = env.string_count in
@@ -360,7 +369,9 @@ let check (prog : Ast.program) : Ir.tprog =
     {
       next_sym = 0;
       next_loop = 0;
+      names = Hashtbl.create 64;
       scopes = [];
+      depth = 0;
       funcs = Hashtbl.create 31;
       strings = [];
       string_count = 0;

@@ -23,29 +23,6 @@ let default_jobs () =
        failwith
          (Printf.sprintf "CASH_JOBS must be a positive integer, got %S" s))
 
-let jobs_of_argv argv =
-  let bad v =
-    failwith (Printf.sprintf "-j: expected a positive integer, got %S" v)
-  in
-  let parse v =
-    match int_of_string_opt v with Some n when n >= 1 -> n | _ -> bad v
-  in
-  let n = Array.length argv in
-  let rec scan i acc =
-    if i >= n then acc
-    else
-      let arg = argv.(i) in
-      if arg = "-j" then
-        if i + 1 < n then scan (i + 2) (Some (parse argv.(i + 1)))
-        else failwith "-j: missing worker count"
-      else if String.length arg > 2 && String.sub arg 0 2 = "-j" then
-        scan (i + 1) (Some (parse (String.sub arg 2 (String.length arg - 2))))
-      else if String.length arg > 7 && String.sub arg 0 7 = "--jobs=" then
-        scan (i + 1) (Some (parse (String.sub arg 7 (String.length arg - 7))))
-      else scan (i + 1) acc
-  in
-  scan 0 None
-
 (* True while the current domain is executing jobs for an enclosing
    [run_jobs]: a nested call then runs serially instead of fanning out
    underneath every worker (the ablation grid is parallel in its own
@@ -71,7 +48,7 @@ let run_serial tasks =
    between calls. A call posts one round — its job loop plus how many
    helpers take part — and waits on [idle] until every participant has
    left the loop. Helpers outlive the call, so whatever a task leaves in
-   a helper's domain-local storage (the server's warm machine pools) is
+   a helper's domain-local storage (the server's warm machines) is
    still there for the next call — and a task that sets ambient
    domain-local state (a trace sink) must restore it before returning,
    or later tasks on that helper inherit it. [owner] admits one

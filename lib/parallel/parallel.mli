@@ -25,7 +25,7 @@
     than [jobs - 1] over the process lifetime, for the largest [jobs]
     any call used — and park between calls, so domain-local state a job
     leaves behind stays on its helper for later calls: that is how
-    [Serve.Server]'s warm machine pools outlive a batch. A job that sets
+    [Serve.Server]'s warm machines outlive a batch. A job that sets
     ambient domain-local state must therefore restore it before
     returning, as [Harness.Suite] does for the trace sink. One top-level
     call uses the helpers at a time; a concurrent top-level call from
@@ -33,16 +33,10 @@
 
 (** Worker count used when [?jobs] is not given: the [CASH_JOBS]
     environment variable if set (CI pins it), otherwise
-    [Domain.recommended_domain_count ()].
+    [Domain.recommended_domain_count ()]. The CLIs' [-j]/[--jobs]
+    options, parsed by cmdliner, override it.
     @raise Failure if [CASH_JOBS] is set but not a positive integer. *)
 val default_jobs : unit -> int
-
-(** [jobs_of_argv argv] extracts a [-j N] / [-jN] / [--jobs=N] worker
-    count from an argv-style array, for harnesses with hand-rolled flag
-    parsing (cmdliner users declare their own option and pass it to
-    [run_jobs] directly). [None] when no such flag is present.
-    @raise Failure on a malformed or non-positive count. *)
-val jobs_of_argv : string array -> int option
 
 (** [run_jobs ?jobs tasks] runs every task and returns their results in
     task order. At most [jobs] (default {!default_jobs}) domains run at

@@ -1,4 +1,4 @@
-(* The warm-pool request server behind [bin/cashd.exe] and the
+(* The warm-machine request server behind [bin/cashd.exe] and the
    benchmark's [serve] workload.
 
    A server owns a warm set (named snapshot images plus their compiled
@@ -9,20 +9,20 @@
    per request, in request order, followed by a summary line with
    latency percentiles.
 
-   The pooled execution path is the point: each worker domain keeps a
-   {!Pool} of machines per (program, engine) pair in domain-local
-   storage, and serves a request by [Core.restore_into] — overwriting a
-   reused machine in place — rather than [Core.restore] building a
-   fresh one. The determinism oracle (test_serve) pins that both paths
-   produce byte-identical machines; [pooled = false] keeps the
-   fresh-restore path alive as the A/B baseline ([cashd --no-pool]).
+   Reuse is the point: each worker domain keeps one idle machine per
+   (program, engine) pair in domain-local storage, and serves a request
+   by [Core.restore_into] — overwriting that machine in place — rather
+   than building a fresh one. The determinism oracle (test_serve) pins
+   that a reused machine digests identically to a fresh [Core.restore]
+   of the same image.
 
-   Worker state lives in [Domain.DLS], so pools are per-domain and
-   never contend. [Parallel.run_jobs]'s helper domains persist between
-   calls, and at [jobs = 1] the tasks run in the calling domain, so
-   either way a worker's pools survive from one batch to the next. A
-   least-recently-used bound on each worker's table (see
-   [worker_entry]) keeps that memory fixed. *)
+   Worker state lives in [Domain.DLS], so it is per-domain and never
+   contends. Each worker serves one request at a time, so one idle
+   machine per entry is all it ever needs. [Parallel.run_jobs]'s helper
+   domains persist between calls, and at [jobs = 1] the tasks run in
+   the calling domain, so either way a worker's machines survive from
+   one batch to the next. A least-recently-used bound on each worker's
+   table (see [worker_entry]) keeps that memory fixed. *)
 
 type warm = {
   w_name : string;  (* the [replay] request's [snapshot] field *)
@@ -59,14 +59,13 @@ type t = {
   warms : warm list;
   jobs : int option;
   batch : int;
-  pooled : bool;
   engine : Machine.Cpu.engine;
   capacity : int;  (* per-worker warm entries; see [worker_entry] *)
 }
 
 let next_id = Atomic.make 0
 
-let create ?jobs ?(batch = 256) ?(pooled = true) ?engine ?(warms = []) () =
+let create ?jobs ?(batch = 256) ?engine ?(warms = []) () =
   if batch < 1 then invalid_arg "Server.create: batch < 1";
   let engine =
     match engine with Some e -> e | None -> Core.default_engine ()
@@ -76,17 +75,18 @@ let create ?jobs ?(batch = 256) ?(pooled = true) ?engine ?(warms = []) () =
     warms;
     jobs;
     batch;
-    pooled;
     engine;
     capacity = List.length warms + Core.compile_cache_capacity;
   }
 
 (* --- per-worker state ----------------------------------------------------- *)
 
-(* One warm entry per (server, request key, engine) triple: a machine
-   pool and the image its requests restore. A replay entry shares its
-   warm's image; a compile-and-run entry holds the program's pristine
-   start image, built once per worker by running the loader.
+(* One warm entry per (server, request key, engine) triple: the program,
+   the image its requests restore, and the machine the last request left
+   idle ([None] before the first request and after a failed one). A
+   replay entry shares its warm's image; a compile-and-run entry holds
+   the program's pristine start image, built once per worker by running
+   the loader.
 
    Compilation itself goes through the process-wide
    [Core.compile_cached] — every distinct (backend, source) compiles
@@ -95,7 +95,13 @@ let create ?jobs ?(batch = 256) ?(pooled = true) ?engine ?(warms = []) () =
    shared superblock set instead of recompiling. A compile-and-run key
    embeds that program's identity ([Program.uid] — exact even where two
    backend configurations render the same [Core.backend_name]). *)
-type entry = { pool : Pool.t; image : bytes; mutable used : int }
+type entry = {
+  compiled : Core.compiled;
+  engine : Machine.Cpu.engine;
+  image : bytes;
+  mutable idle : Core.state option;
+  mutable used : int;
+}
 
 type table = {
   entries : (string, entry) Hashtbl.t;
@@ -122,12 +128,12 @@ let start_image compiled =
   image
 
 (* The table holds at most [t.capacity] entries and evicts the least
-   recently used one, returning its machines' memory. Why this bound:
-   there are [List.length warms] replay keys, and a compile-and-run key
-   can only be hit again while its program is still in the compile
-   cache — a program that leaves it is recompiled under a new uid. So a
-   worker retains a fixed amount of memory however many distinct
-   programs it serves. *)
+   recently used one, returning its idle machine's memory. Why this
+   bound: there are [List.length warms] replay keys, and a
+   compile-and-run key can only be hit again while its program is still
+   in the compile cache — a program that leaves it is recompiled under
+   a new uid. So a worker retains a fixed amount of memory however many
+   distinct programs it serves. *)
 let worker_entry t ~key ~engine compiled image =
   let table = Domain.DLS.get table_key in
   let k = Printf.sprintf "%d\x00%s\x00%s" t.sv_id key (Core.engine_name engine) in
@@ -147,13 +153,13 @@ let worker_entry t ~key ~engine compiled image =
         Option.iter
           (fun (k', e') ->
             Hashtbl.remove table.entries k';
-            List.iter release_machine (Pool.drain e'.pool))
+            Option.iter release_machine e'.idle)
           oldest
       end;
       let image =
         match image with Some image -> image | None -> start_image compiled
       in
-      let e = { pool = Pool.create ~engine compiled; image; used = 0 } in
+      let e = { compiled; engine; image; idle = None; used = 0 } in
       Hashtbl.add table.entries k e;
       e
   in
@@ -189,10 +195,19 @@ let run_request t (rq : Protocol.request) =
     in
     match
       let e = worker_entry t ~key ~engine compiled image in
-      if t.pooled then
-        Pool.with_machine e.pool (fun s ->
-            Core.finish (Core.restore_into s e.image))
-      else Core.finish (Core.restore ~engine compiled e.image)
+      let s =
+        match e.idle with
+        | Some s ->
+          e.idle <- None;
+          s
+        | None -> Core.start ~engine:e.engine e.compiled
+      in
+      (* Stored back only after a clean run: a failed restore leaves the
+         machine half-scrubbed ([Snapshot.restore_into]'s contract), so
+         an exception drops it and the next request starts afresh. *)
+      let run = Core.finish (Core.restore_into s e.image) in
+      e.idle <- Some s;
+      run
     with
     | run -> Protocol.of_run ~id:rq.Protocol.rq_id ~latency_us:(latency_us ()) run
     | exception e ->

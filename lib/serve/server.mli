@@ -1,8 +1,8 @@
-(** The warm-pool request server behind [bin/cashd.exe] and the
+(** The warm-machine request server behind [bin/cashd.exe] and the
     benchmark's [serve] workload: newline-framed JSON requests
     ({!Protocol}) batched onto the [Parallel] domain pool, served by
     restoring snapshot images into {e reused} machines
-    ({!Core.restore_into}) drawn from per-worker {!Pool}s. *)
+    ({!Core.restore_into}), one idle machine per worker entry. *)
 
 (** A named warm snapshot a [replay] request can target. *)
 type warm = {
@@ -26,20 +26,23 @@ type t
 (** [create ()] — a server. [warms] (default empty) is the replay
     target set; [jobs] caps worker domains (default
     [Parallel.default_jobs]); [batch] (default 256) is how many
-    requests are in flight per dispatch; [pooled = false] serves every
-    request through a fresh [Core.restore] instead — the A/B baseline
-    leg; [engine] is the default CPU engine for requests that don't
-    name one (default: the ambient {!Core.default_engine}).
+    requests are in flight per dispatch; [engine] is the default CPU
+    engine for requests that don't name one (default: the ambient
+    {!Core.default_engine}).
 
     Each worker domain keeps, in domain-local storage that outlives
-    batches ([Parallel]'s helpers persist), one {!Pool} and image per
-    (server, request key, engine). That table holds at most
+    batches ([Parallel]'s helpers persist), one entry per (server,
+    request key, engine): the image its requests restore and the
+    machine the last request left idle, which the next one restores
+    into. A worker serves one request at a time, so it never needs a
+    second machine per entry; a request that raises drops its machine.
+    That table holds at most
     [List.length warms + Core.compile_cache_capacity] entries and
     evicts the least recently used, so a worker's retained memory is
     bounded however many distinct programs it serves.
     @raise Invalid_argument when [batch < 1]. *)
 val create :
-  ?jobs:int -> ?batch:int -> ?pooled:bool -> ?engine:Machine.Cpu.engine ->
+  ?jobs:int -> ?batch:int -> ?engine:Machine.Cpu.engine ->
   ?warms:warm list -> unit -> t
 
 (** Serve one already-parsed request on the calling domain. *)

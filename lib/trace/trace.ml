@@ -469,7 +469,6 @@ and plugin_instance = {
 
 and plugin_spec = {
   p_name : string;
-  p_doc : string;
   p_kinds : kind list;
   p_init : unit -> plugin_state;
   p_on_event : sink -> plugin_state -> event -> unit;
@@ -481,7 +480,6 @@ and plugin_spec = {
 module Plugin = struct
   type spec = plugin_spec = {
     p_name : string;
-    p_doc : string;
     p_kinds : kind list;
     p_init : unit -> plugin_state;
     p_on_event : sink -> plugin_state -> event -> unit;
@@ -489,25 +487,6 @@ module Plugin = struct
     p_merge : into:plugin_state -> plugin_state -> unit;
     p_to_json : sink -> plugin_state -> Json.t;
   }
-
-  (* The global registry: CLIs resolve --check=<name> against it. An
-     atomic snapshot list, so registration from any domain is safe;
-     re-registering a name replaces the old spec (latest wins). *)
-  let registry : spec list Atomic.t = Atomic.make []
-
-  let rec register spec =
-    let old = Atomic.get registry in
-    let cleaned = List.filter (fun s -> s.p_name <> spec.p_name) old in
-    if not (Atomic.compare_and_set registry old (cleaned @ [ spec ])) then
-      register spec
-
-  let find name =
-    List.find_opt (fun s -> s.p_name = name) (Atomic.get registry)
-
-  let registered () =
-    List.sort
-      (fun a b -> String.compare a.p_name b.p_name)
-      (Atomic.get registry)
 end
 
 (* Plugins attached to every subsequently created sink — how a parallel

@@ -169,9 +169,8 @@ type plugin_state = ..
 
 module Plugin : sig
   type spec = {
-    p_name : string;       (** unique key: registry, per-sink instances,
-                               and {!merge_into} pairing all use it *)
-    p_doc : string;        (** one-line description for [--check] listings *)
+    p_name : string;       (** unique key: per-sink instances and
+                               {!merge_into} pairing use it *)
     p_kinds : kind list;
         (** the kinds [p_on_event] reads: {!emit} feeds the plugin the
             events of these kinds, and others only to answer its
@@ -194,16 +193,6 @@ module Plugin : sig
             attached to, so a report can quote a sink counter or the
             {!tally} instead of keeping its own copy *)
   }
-
-  (** Register a spec under its name for by-name lookup (CLI [--check]
-      flags); re-registering a name replaces the old spec. Attaching
-      does not require registration. *)
-  val register : spec -> unit
-
-  val find : string -> spec option
-
-  (** All registered specs, sorted by name. *)
-  val registered : unit -> spec list
 end
 
 (** [create ()] makes a detached sink. [capacity] (default 4096) bounds

@@ -86,16 +86,22 @@ let test_table8_shape () =
 (* The warm-started snapshot split must reproduce the serial Table 8
    byte for byte, at several job counts — the whole point of the split
    is that nobody can tell from the table that the requests were
-   warm-started from a checkpoint instead of run back-to-back. *)
+   warm-started from a checkpoint instead of run back-to-back. The
+   split runs through [Suite.run_all], the path bench takes. *)
 let test_table8_split_equals_serial () =
   let render t = Format.asprintf "%a" Harness.Report.pp t in
   let serial = render (Harness.Table8.run ~requests:4 ()) in
+  let table8 =
+    List.filter
+      (fun (e : Harness.Suite.experiment) -> e.name = "table8")
+      (Harness.Suite.all ~table8_requests:4 ())
+  in
   List.iter
     (fun jobs ->
-      Alcotest.(check string)
+      Alcotest.(check (list string))
         (Printf.sprintf "split -j%d" jobs)
-        serial
-        (render (Harness.Table8.run_split ~jobs ~requests:4 ())))
+        [ serial ]
+        (List.map render (Harness.Suite.run_all ~jobs table8)))
     [ 1; 2; 4 ]
 
 let test_figure2_expectations_met () =
@@ -161,6 +167,17 @@ let test_matrix_golden () =
              totals) );
     ]
 
+(* The software-check dynamics table, which bench prints after the
+   Suite reports as [ablation-dynamics]: pinned in a section of its own,
+   since it is no [Suite] entry. *)
+let test_dynamics_golden () =
+  Golden.check "dynamics"
+    [
+      ( "ablation-dynamics",
+        Format.asprintf "%a" Harness.Report.pp
+          (Harness.Ablation.sw_check_dynamics ()) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "report formatting" `Quick test_report_formatting;
@@ -175,4 +192,5 @@ let suite =
     Alcotest.test_case "microcost anchors" `Slow test_microcosts_anchors;
     Alcotest.test_case "ablation monotone" `Slow test_ablation_monotone;
     Alcotest.test_case "quick matrix golden digests" `Slow test_matrix_golden;
+    Alcotest.test_case "dynamics golden digest" `Slow test_dynamics_golden;
   ]

@@ -602,6 +602,37 @@ let test_parse_error_lines () =
       ("int main() {\r\n  return 0\r\n}", 3);
       ("int f(int\n) { }", 2) ]
 
+(* Compile time is linear in loop nesting depth. Each of n nested
+   loops names an outer variable, so a lookup that walks one table per
+   enclosing scope costs O(n^2). The check is a ratio of [Core.compile]
+   times at n and 4n, not a wall-clock bound: the best of five rounds,
+   each timing both sizes, so a host slowing down mid-test moves both
+   alike. One table of visible names reads 4 to 6 (deep recursion costs
+   a little more than linear), the per-scope lookup 9 to 16. *)
+let test_nesting_linear () =
+  let nest n =
+    String.concat ""
+      ([ "int main() { int i; i = 0;\n" ]
+       @ List.init n (fun _ -> "while (i < 1) {\n")
+       @ [ "i = 1;\n" ]
+       @ List.init n (fun _ -> "}\n")
+       @ [ "return 0; }\n" ])
+  in
+  let time src =
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (Core.compile Core.gcc src));
+    Unix.gettimeofday () -. t0
+  in
+  let small_src = nest 2_000 and large_src = nest 8_000 in
+  let small = ref infinity and large = ref infinity in
+  for _ = 1 to 5 do
+    small := min !small (time small_src);
+    large := min !large (time large_src)
+  done;
+  if !large >= 8. *. !small then
+    Alcotest.failf "4x the nesting took %.1fx the compile time (%.3f s, %.3f s)"
+      (!large /. !small) !small !large
+
 let suite =
   suite
   @ [
@@ -623,4 +654,6 @@ let suite =
       Alcotest.test_case "loop ids unique" `Quick test_loop_ids_unique;
       Alcotest.test_case "stable def source" `Quick test_stable_def_source;
       Alcotest.test_case "written tracking" `Quick test_written_tracking;
+      Alcotest.test_case "compile linear in loop nesting" `Slow
+        test_nesting_linear;
     ]

@@ -116,22 +116,6 @@ let test_crew_survives_failure () =
   Alcotest.(check int) "the same helper after a failed call" helper
     (helper_of (Parallel.run_jobs ~jobs:2 (rendezvous ())))
 
-let test_jobs_of_argv () =
-  let check name expect argv =
-    Alcotest.(check (option int)) name expect (Parallel.jobs_of_argv argv)
-  in
-  check "absent" None [| "bench"; "--trace" |];
-  check "-j N" (Some 4) [| "bench"; "-j"; "4" |];
-  check "-jN" (Some 8) [| "bench"; "-j8" |];
-  check "--jobs=N" (Some 2) [| "bench"; "--jobs=2" |];
-  check "last wins" (Some 3) [| "bench"; "-j"; "4"; "-j3" |];
-  Alcotest.check_raises "malformed" (Failure
-    "-j: expected a positive integer, got \"zero\"")
-    (fun () -> ignore (Parallel.jobs_of_argv [| "-j"; "zero" |]));
-  Alcotest.check_raises "non-positive" (Failure
-    "-j: expected a positive integer, got \"0\"")
-    (fun () -> ignore (Parallel.jobs_of_argv [| "-j0" |]))
-
 (* --- trace sink merging -------------------------------------------------- *)
 
 let test_merge_sums_exactly () =
@@ -276,7 +260,6 @@ let suite =
       test_helpers_persist;
     Alcotest.test_case "crew: usable after a failing call" `Quick
       test_crew_survives_failure;
-    Alcotest.test_case "-j parsing" `Quick test_jobs_of_argv;
     Alcotest.test_case "sink merge sums exactly" `Quick test_merge_sums_exactly;
     Alcotest.test_case "full reproduction: -j1 = -j4 (oracle)" `Slow
       test_full_reproduction_oracle;

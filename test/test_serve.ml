@@ -1,14 +1,15 @@
-(* lib/serve: the warm-pool request server and its determinism oracle.
+(* lib/serve: the warm-machine request server and its determinism
+   oracle.
 
-   The heart of the pool is [Core.restore_into]: re-parsing a snapshot
+   The heart of the server is [Core.restore_into]: re-parsing a snapshot
    image directly into a machine some previous request used, instead of
    building a fresh one. The oracle under test is byte-exact state
    equality — for every engine, restoring an image into a reused
    machine must produce the same [Core.state_digest] as a fresh
    [Core.restore] of the same image, no matter what the previous
    request left behind: a cleanly halted machine, one that faulted on a
-   bound violation, or one parked mid-superblock. On top of that ride
-   the pool policies (Grow/Block) and the server itself, whose batched
+   bound violation, or one parked mid-superblock. On top of that rides
+   the server itself, which must reuse its machines and whose batched
    responses must be identical at any job count and to direct
    [Core.run]s. *)
 
@@ -54,8 +55,8 @@ let midblock_state ?engine compiled n =
 
 (* --- the determinism oracle ---------------------------------------------- *)
 
-(* Pooled restore == fresh restore, byte for byte, on every engine, for
-   every kind of leftover machine. *)
+(* Restore into a reused machine == fresh restore, byte for byte, on
+   every engine, for every kind of leftover machine. *)
 let test_restore_into_digest_oracle () =
   List.iter
     (fun (ename, engine) ->
@@ -125,63 +126,6 @@ let test_restore_into_rejects_wrong_program () =
   | _ -> Alcotest.fail "expected Program_mismatch"
   | exception Snapshot.Error Snapshot.Program_mismatch -> ()
 
-(* --- pool policies -------------------------------------------------------- *)
-
-(* Sequential reuse through with_machine builds exactly one machine. *)
-let test_pool_reuses_machine () =
-  let compiled = matmul () in
-  let image = Buffer.to_bytes (Core.save (warm_state compiled 300)) in
-  let pool = Serve.Pool.create compiled in
-  let baseline = Core.finish (Core.restore compiled image) in
-  for _ = 1 to 8 do
-    let r =
-      Serve.Pool.with_machine pool (fun s ->
-          Core.finish (Core.restore_into s image))
-    in
-    Alcotest.(check string) "pooled run output" baseline.Core.output
-      r.Core.output;
-    Alcotest.(check int) "pooled run cycles" baseline.Core.cycles r.Core.cycles
-  done;
-  Alcotest.(check int) "one machine built for 8 requests" 1
-    (Serve.Pool.built pool);
-  Alcotest.(check int) "and it is idle again" 1 (Serve.Pool.idle pool)
-
-(* Grow policy: more concurrent acquires than capacity just build. *)
-let test_pool_grow_past_capacity () =
-  let pool = Serve.Pool.create ~capacity:1 ~policy:Serve.Pool.Grow (matmul ()) in
-  let a = Serve.Pool.acquire pool in
-  let b = Serve.Pool.acquire pool in
-  Alcotest.(check int) "built past capacity" 2 (Serve.Pool.built pool);
-  Serve.Pool.release pool a;
-  Serve.Pool.release pool b;
-  Alcotest.(check int) "both idle" 2 (Serve.Pool.idle pool)
-
-(* Block policy: the second acquire waits for a release instead of
-   building; a discarded machine frees its slot for a rebuild. *)
-let test_pool_block_waits () =
-  let pool =
-    Serve.Pool.create ~capacity:1 ~policy:Serve.Pool.Block (matmul ())
-  in
-  let a = Serve.Pool.acquire pool in
-  let got = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
-        let b = Serve.Pool.acquire pool in
-        Atomic.set got true;
-        Serve.Pool.release pool b)
-  in
-  (* the waiter cannot have acquired: capacity 1, machine held here *)
-  Unix.sleepf 0.05;
-  Alcotest.(check bool) "waiter blocked at capacity" false (Atomic.get got);
-  Serve.Pool.release pool a;
-  Domain.join d;
-  Alcotest.(check bool) "waiter ran after release" true (Atomic.get got);
-  Alcotest.(check int) "still one machine" 1 (Serve.Pool.built pool);
-  (* discard shrinks the build count so capacity frees up *)
-  let c = Serve.Pool.acquire pool in
-  Serve.Pool.discard pool c;
-  Alcotest.(check int) "discard releases the slot" 0 (Serve.Pool.built pool)
-
 (* --- the server ----------------------------------------------------------- *)
 
 let mini_warms () =
@@ -212,11 +156,11 @@ let strip (r : Serve.Protocol.response) =
     r.rs_cycles, r.rs_insns, r.rs_error )
 
 (* Batched responses are byte-identical (modulo latency) at any job
-   count, pooled or fresh, and match direct Core runs. *)
+   count and match direct Core runs. *)
 let test_server_batch_matches_direct () =
   let warms = mini_warms () in
-  let serve ~jobs ~pooled =
-    let server = Serve.Server.create ~jobs ~warms ~pooled ~batch:4 () in
+  let serve ~jobs =
+    let server = Serve.Server.create ~jobs ~warms ~batch:4 () in
     let responses, summary = Serve.Server.run_lines server request_lines in
     Alcotest.(check int) "one response per request"
       (List.length request_lines) (List.length responses);
@@ -226,13 +170,8 @@ let test_server_batch_matches_direct () =
       summary.Serve.Server.errors;
     List.map strip responses
   in
-  let j1 = serve ~jobs:1 ~pooled:true in
-  Alcotest.(check bool) "-j4 pooled identical" true
-    (j1 = serve ~jobs:4 ~pooled:true);
-  Alcotest.(check bool) "-j1 fresh identical" true
-    (j1 = serve ~jobs:1 ~pooled:false);
-  Alcotest.(check bool) "-j4 fresh identical" true
-    (j1 = serve ~jobs:4 ~pooled:false);
+  let j1 = serve ~jobs:1 in
+  Alcotest.(check bool) "-j4 identical" true (j1 = serve ~jobs:4);
   (* spot-check against direct runs *)
   let w = List.hd warms in
   let direct =
@@ -263,6 +202,49 @@ let test_server_batch_matches_direct () =
         Alcotest.(check bool) "carries an error" true (err <> None)
       end)
     j1
+
+(* A worker keeps one machine per warm entry: after a warm-up replay,
+   eight more replays of the same warm at -j1 match the direct run and
+   together allocate less than building one machine does. That is
+   measured by one [Core.start] on a fresh domain, whose free list of
+   physical memory is empty, so the machine's whole footprint shows; a
+   server that built a machine per request would allocate eight. *)
+let test_server_reuses_machine () =
+  let warms = mini_warms () in
+  let w = List.hd warms in
+  let direct =
+    Core.finish (Core.restore w.Serve.Server.w_compiled w.Serve.Server.w_image)
+  in
+  let start_bytes =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let b0 = Gc.allocated_bytes () in
+           let s = Core.start w.Serve.Server.w_compiled in
+           let b1 = Gc.allocated_bytes () in
+           ignore (Sys.opaque_identity s);
+           b1 -. b0))
+  in
+  let line =
+    Printf.sprintf {|{"op": "replay", "snapshot": %S}|} w.Serve.Server.w_name
+  in
+  let server = Serve.Server.create ~jobs:1 ~warms () in
+  ignore (Serve.Server.run_lines server [ line ]);
+  let b0 = Gc.allocated_bytes () in
+  let responses, summary =
+    Serve.Server.run_lines server (List.init 8 (fun _ -> line))
+  in
+  let replay_bytes = Gc.allocated_bytes () -. b0 in
+  Alcotest.(check int) "no errors" 0 summary.Serve.Server.errors;
+  List.iter
+    (fun (r : Serve.Protocol.response) ->
+      Alcotest.(check string) "replay output" direct.Core.output
+        r.Serve.Protocol.rs_output;
+      Alcotest.(check int) "replay cycles" direct.Core.cycles
+        r.Serve.Protocol.rs_cycles)
+    responses;
+  if replay_bytes >= start_bytes then
+    Alcotest.failf "8 replays allocated %.0f KB, one Core.start %.0f KB"
+      (replay_bytes /. 1024.) (start_bytes /. 1024.)
 
 (* The streaming entry point: same requests through channels, responses
    line-framed in order, summary line last. *)
@@ -446,11 +428,7 @@ let suite =
     Alcotest.test_case "restore_into: rejects a different program" `Quick
       test_restore_into_rejects_wrong_program;
     Alcotest.test_case "pool: 8 requests build 1 machine" `Quick
-      test_pool_reuses_machine;
-    Alcotest.test_case "pool: grow builds past capacity" `Quick
-      test_pool_grow_past_capacity;
-    Alcotest.test_case "pool: block waits, discard frees the slot" `Quick
-      test_pool_block_waits;
+      test_server_reuses_machine;
     Alcotest.test_case "server: batches match direct runs at -j1/-j4" `Slow
       test_server_batch_matches_direct;
     Alcotest.test_case "server: summary reports the compile cache" `Quick

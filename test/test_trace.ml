@@ -114,7 +114,6 @@ let plugin_of ~name ?(init = fun () -> No_state) on_event :
     Trace.Plugin.spec =
   {
     p_name = name;
-    p_doc = "test: " ^ name;
     p_kinds = Trace.all_kinds;
     p_init = init;
     p_on_event = on_event;
@@ -435,7 +434,6 @@ type Trace.plugin_state += Counting of { events : int ref; finishes : int ref }
 let counting_spec name =
   {
     Trace.Plugin.p_name = name;
-    p_doc = "test: counts delivered events";
     p_kinds = Trace.all_kinds;
     p_init = (fun () -> Counting { events = ref 0; finishes = ref 0 });
     p_on_event =
