@@ -119,8 +119,9 @@ let claim_output_channel () =
 
 (* Schema 9, the only record bench writes: one reproduction pass, with
    its engine and superblock compilation shape — "blocks_built"
-   superblocks of "avg_block_len" instructions, both zero for the
-   reference engine and for traced runs. *)
+   superblocks of "avg_block_len" instructions, counted for the
+   untraced closure set only ([Machine.Cpu.blocks_built]), so both
+   zero for the reference engine and for traced runs. *)
 let schema = 9
 
 let write_json ~path ~oc ~engine ~traced ~quick ~jobs ~n_experiments
@@ -392,15 +393,16 @@ let jobs =
                  domain count). Output is byte-identical at any value.")
 
 let run selected quick traced ab matrix engine jobs =
-  match (match jobs with Some j -> j | None -> Parallel.default_jobs ()) with
-  | exception Failure msg -> `Error (false, msg)  (* a malformed CASH_JOBS *)
-  | jobs when jobs < 1 -> `Error (true, "-j: expected a positive integer")
-  | _ when ab && (matrix || traced) ->
-    (* A traced Block run steps per instruction: it has no lead to gate. *)
+  match Parallel.resolve_jobs jobs with
+  | Error msg -> `Error (false, msg)  (* a malformed CASH_JOBS *)
+  | Ok jobs when jobs < 1 -> `Error (true, "-j: expected a positive integer")
+  | Ok _ when ab && (matrix || traced) ->
+    (* The gate times untraced reproductions; the matrix has its own
+       engine legs. *)
     `Error (true, "--ab takes neither --matrix nor --trace")
-  | _ when matrix && selected <> [] ->
+  | Ok _ when matrix && selected <> [] ->
     `Error (true, "--matrix takes no EXPERIMENT")
-  | jobs ->
+  | Ok jobs ->
     (if matrix then run_matrix ~quick ~engine ~jobs ~traced
      else
        let experiments =

@@ -97,12 +97,13 @@ let serve_socket server path max_conns =
   (try Unix.unlink path with Unix.Unix_error _ -> ())
 
 let run engine jobs batch no_warm socket max_conns gen_requests =
-  match gen_requests with
-  | Some n ->
+  match Parallel.resolve_jobs jobs, gen_requests with
+  | Error msg, _ -> `Error (false, msg)  (* a malformed CASH_JOBS *)
+  | Ok _, Some n ->
     List.iter print_endline
       (Serve.Server.gen_mix ~names:(Serve.Server.table8_names ()) n);
-    0
-  | None ->
+    `Ok 0
+  | Ok _, None ->
     Core.set_default_engine engine;
     let warms = if no_warm then [] else Serve.Server.table8_warms ?jobs () in
     let server = Serve.Server.create ?jobs ~batch ~engine ~warms () in
@@ -117,12 +118,12 @@ let run engine jobs batch no_warm socket max_conns gen_requests =
          s.Serve.Server.req_per_s s.Serve.Server.p50_us s.Serve.Server.p90_us
          s.Serve.Server.p99_us s.Serve.Server.compile_hits
          s.Serve.Server.compile_misses);
-    0
+    `Ok 0
 
 let cmd =
   let doc = "warm-machine request server for the simulated segmented x86" in
   Cmd.v (Cmd.info "cashd" ~doc)
-    Term.(const run $ engine $ jobs $ batch $ no_warm $ socket $ max_conns
-          $ gen_requests)
+    Term.(ret (const run $ engine $ jobs $ batch $ no_warm $ socket
+               $ max_conns $ gen_requests))
 
 let () = exit (Cmd.eval' cmd)

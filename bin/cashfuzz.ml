@@ -81,6 +81,9 @@ let force_fail =
 
 let run count first_seed oob_every jobs engines dump_dir no_dump no_shrink
     plugins force_fail =
+  match Parallel.resolve_jobs jobs with
+  | Error msg -> `Error (false, msg)  (* a malformed CASH_JOBS *)
+  | Ok _ ->
   let cfg =
     {
       Fuzz.Fleet.count;
@@ -127,12 +130,12 @@ let run count first_seed oob_every jobs engines dump_dir no_dump no_shrink
         |> List.iter (fun l -> Printf.printf "    %s\n" l)
       | None -> ())
     stats.failures;
-  if stats.failures = [] then 0 else 1
+  `Ok (if stats.failures = [] then 0 else 1)
 
 let cmd =
   let doc = "property-based differential fuzzing of the Cash compilers" in
   Cmd.v (Cmd.info "cashfuzz" ~doc)
-    Term.(const run $ count $ first_seed $ oob_every $ jobs $ engines
-          $ dump_dir $ no_dump $ no_shrink $ plugins $ force_fail)
+    Term.(ret (const run $ count $ first_seed $ oob_every $ jobs $ engines
+               $ dump_dir $ no_dump $ no_shrink $ plugins $ force_fail))
 
 let () = exit (Cmd.eval' cmd)

@@ -35,7 +35,9 @@
      built at CPU creation, stat counters from pre-interned refs, and the
      next EIP returned instead of an exception on control transfers.
      [exec] is the block loop's fallback (fuel straddles, mid-block
-     entries), [step]'s single step, and the one traced loop.
+     entries) and [step]'s single step. Under a trace sink the block
+     loop runs a second closure set, the same closures with the sink
+     passed to the accesses they translate themselves.
    - [Reference] is the pre-lowering interpreter kept verbatim: hashtable
      label resolution per branch, a [Cost_model.cost] match per executed
      instruction, string-keyed stat bumps, and an exception per control
@@ -78,10 +80,10 @@ type t = {
   externals : (string, t -> unit) Hashtbl.t;
   stat_counters : (string, int ref) Hashtbl.t;
   (* Tracing: [sink] mirrors [mmu.trace] (set together by [set_sink]).
-     With a sink attached the run loop takes a separate traced variant
-     that bumps [prof_hits] (per-site retire counts, the cycle
+     With a sink attached the block loop runs the traced closure set
+     and bumps [prof_hits] (per-site retire counts, the cycle
      profiler's input, allocated lazily on attach); with it detached
-     the hot loop is byte-for-byte the untraced one. *)
+     the closures contain no trace code and the loop bumps nothing. *)
   mutable sink : Trace.sink option;
   mutable prof_hits : int array;
   (* [mmu.limit_checks], [tlb.hits] and [tlb.misses] as last credited
@@ -97,11 +99,14 @@ type t = {
   block_cost : int array;      (* per block: summed cost_tab over its range *)
   mutable ublocks : (t -> int) array array;
       (* per block: one operand-resolved closure per instruction,
-         compiled lazily by the first [Block] run. The last closure
-         returns the block's next EIP (terminators have their dispatch
-         pre-resolved; a fall-through last instruction bakes in
-         [idx + 1]); body closures return a dummy 0. *)
-  mutable ublocks_ready : bool;
+         bound lazily by the first untraced [Block] run ([||] until
+         then). The last closure returns the block's next EIP
+         (terminators have their dispatch pre-resolved; a fall-through
+         last instruction bakes in [idx + 1]); body closures return a
+         dummy 0. *)
+  mutable tublocks : (t -> int) array array;
+      (* the same blocks for runs under a sink, bound by the first
+         traced [Block] run: their accesses emit to the live sink *)
   (* Per-segment memory fast path: for segreg slot [k] (CS..GS), if
      [fm_gen.(k)] still equals the TLB's generation counter and
      [fm_page.(k)] is the accessed linear page (and [fm_writable.(k)]
@@ -214,7 +219,7 @@ let create ?(engine = default_engine) ~mmu ~phys ~costs ~program () =
     block_at = program.Program.block_at;
     block_cost;
     ublocks = [||];
-    ublocks_ready = false;
+    tublocks = [||];
     (* Off under the oracle, which keeps the plain TLB probe. *)
     fm_enabled = (match engine with Block -> true | Reference -> false);
     fm_page = Array.make 6 (-1);
@@ -491,7 +496,8 @@ let[@inline] p_write_float (p : Phys_mem.t) addr v =
   end
   else Phys_mem.write_float p addr v
 
-(* Segreg slot index for the per-segment fast-path arrays. *)
+(* Segreg slot index for the per-segment fast-path arrays; the same
+   numbering as [Seghw.Segreg.index], which the trace ring stores. *)
 let[@inline] seg_slot (s : Seghw.Segreg.name) =
   match s with
   | Seghw.Segreg.CS -> 0 | Seghw.Segreg.SS -> 1 | Seghw.Segreg.DS -> 2
@@ -516,7 +522,8 @@ let[@inline] seg_slot (s : Seghw.Segreg.name) =
    the key.
 
    [translate_via] is that one definition, parameterized over the
-   pre-resolved segment-register mirror [sr] and fast-path slot [k]:
+   pre-resolved segment-register mirror [sr] and fast-path slot [k]
+   ([seg_slot seg_name], also the segment index the trace ring keeps):
    the stepping engines resolve both per access (through [translate]
    below); the superblock closure compiler resolves them once at
    closure-compile time — legal because [Mmu.t]'s segreg fields are
@@ -525,13 +532,12 @@ let[@inline] seg_slot (s : Seghw.Segreg.name) =
    cannot diverge on translation semantics.
 
    [tr] is the event sink consulted by the emit sites. The stepping
-   engines pass [mmu.trace]; compiled block closures pass a literal
-   [None], which is exact, not an approximation: those closures only
-   ever execute in [run]'s untraced [Block] arm ([t.sink = None]),
-   and [set_sink] sets [t.sink] and [mmu.trace] together, so
-   [mmu.trace] is provably [None] whenever one runs. A traced [Block]
-   CPU steps through [exec], and therefore [translate]'s live
-   [mmu.trace]. *)
+   engines pass [mmu.trace]. The closure compiler builds two closure
+   sets: the traced one passes the live [mmu.trace], the untraced one
+   a literal [None], so its closures contain no trace code. That is
+   exact, not an approximation: [run] enters the untraced set only
+   when [t.sink = None], and [set_sink] sets [t.sink] and [mmu.trace]
+   together, so [mmu.trace] is provably [None] whenever one runs. *)
 let[@inline] translate_via t mmu sr k ~tr ~seg_name ~offset ~size ~write =
   mmu.Seghw.Mmu.limit_checks <- mmu.Seghw.Mmu.limit_checks + 1;
   let off = offset land 0xFFFFFFFF in
@@ -544,11 +550,8 @@ let[@inline] translate_via t mmu sr k ~tr ~seg_name ~offset ~size ~write =
     (match tr with
      | None -> ()
      | Some s ->
-       Trace.emit s
-         (Trace.Limit_check
-            { seg = Seghw.Segreg.name_to_string seg_name;
-              base = sr.Seghw.Segreg.f_base; offset = off; size; write;
-              ok = true }));
+       Trace.limit_check s ~seg:k ~base:sr.Seghw.Segreg.f_base ~offset:off
+         ~size ~write ~ok:true);
     let linear = (sr.Seghw.Segreg.f_base + off) land 0xFFFFFFFF in
     let tlb = mmu.Seghw.Mmu.tlb in
     let page = linear lsr Seghw.Paging.page_shift in
@@ -561,9 +564,7 @@ let[@inline] translate_via t mmu sr k ~tr ~seg_name ~offset ~size ~write =
       (* The generation check proves the TLB still caches this entry, so
          the accounting of the skipped probe is exact: one hit. *)
       tlb.Seghw.Tlb.hits <- tlb.Seghw.Tlb.hits + 1;
-      (match tr with
-       | None -> ()
-       | Some s -> Trace.emit s Trace.Tlb_hit);
+      (match tr with None -> () | Some s -> Trace.tlb_hit s);
       linear + Array.unsafe_get t.fm_delta k
     end
     else begin
@@ -574,9 +575,7 @@ let[@inline] translate_via t mmu sr k ~tr ~seg_name ~offset ~size ~write =
           && ((not write) || Array.unsafe_get tlb.Seghw.Tlb.writable slot)
         then begin
           tlb.Seghw.Tlb.hits <- tlb.Seghw.Tlb.hits + 1;
-          (match tr with
-           | None -> ()
-           | Some s -> Trace.emit s Trace.Tlb_hit);
+          (match tr with None -> () | Some s -> Trace.tlb_hit s);
           (Array.unsafe_get tlb.Seghw.Tlb.frames slot
            lsl Seghw.Paging.page_shift)
           lor (linear land 0xFFF)
@@ -618,11 +617,8 @@ let[@inline] translate_via t mmu sr k ~tr ~seg_name ~offset ~size ~write =
     (match tr with
      | None -> ()
      | Some s ->
-       Trace.emit s
-         (Trace.Limit_check
-            { seg = Seghw.Segreg.name_to_string seg_name;
-              base = sr.Seghw.Segreg.f_base; offset = off; size; write;
-              ok = false }));
+       Trace.limit_check s ~seg:k ~base:sr.Seghw.Segreg.f_base ~offset:off
+         ~size ~write ~ok:false);
     let stack = match seg_name with Seghw.Segreg.SS -> true | _ -> false in
     let linear =
       Seghw.Segreg.translate sr ~name:seg_name ~offset ~size ~write ~stack
@@ -1215,56 +1211,140 @@ let step_predecoded t =
    ([seg_field] is a six-way constant-tag match, not a table walk), so
    it always reflects current descriptor state. *)
 
+(* Two closure sets. The shapes below that call [translate_via]
+   themselves (directly or through [push32_via]/[pop32_via]) are each
+   written once as a closed [@inline] body with a [~tr] parameter, and
+   instantiated twice: with a literal [~tr:None] when [traced] is
+   false and with the live sink ([live]) when it is true. The choice is
+   made here, at closure-compile time, so the untraced closures contain
+   no trace code and test no flag. Every other shape emits nothing, or
+   reaches the live sink through [translate] and the [eff_*] helpers,
+   and compiles to the same code in both sets. *)
+let[@inline] live cpu = cpu.mmu.Seghw.Mmu.trace
+
+(* [compile_addr]'s four addressing shapes: base, base + scaled index,
+   scaled index, and displacement alone. *)
+let[@inline] addr_b cpu ~tr seg k bi disp ~size ~write =
+  let mmu = cpu.mmu in
+  let off =
+    (Array.unsafe_get cpu.regs.Registers.gp bi + disp) land 0xFFFFFFFF
+  in
+  translate_via cpu mmu (seg_field mmu seg) k ~tr ~seg_name:seg ~offset:off
+    ~size ~write
+
+let[@inline] addr_bx cpu ~tr seg k bi xi scale disp ~size ~write =
+  let gp = cpu.regs.Registers.gp in
+  let mmu = cpu.mmu in
+  let off =
+    (Array.unsafe_get gp bi + (Array.unsafe_get gp xi * scale) + disp)
+    land 0xFFFFFFFF
+  in
+  translate_via cpu mmu (seg_field mmu seg) k ~tr ~seg_name:seg ~offset:off
+    ~size ~write
+
+let[@inline] addr_x cpu ~tr seg k xi scale disp ~size ~write =
+  let mmu = cpu.mmu in
+  let off =
+    ((Array.unsafe_get cpu.regs.Registers.gp xi * scale) + disp)
+    land 0xFFFFFFFF
+  in
+  translate_via cpu mmu (seg_field mmu seg) k ~tr ~seg_name:seg ~offset:off
+    ~size ~write
+
+let[@inline] addr_d cpu ~tr seg k off ~size ~write =
+  let mmu = cpu.mmu in
+  translate_via cpu mmu (seg_field mmu seg) k ~tr ~seg_name:seg ~offset:off
+    ~size ~write
+
+(* The fused 32-bit loads and stores through a base register, with and
+   without a scaled index. *)
+let[@inline] load_b cpu ~tr seg k bi disp di =
+  let gp = cpu.regs.Registers.gp in
+  let mmu = cpu.mmu in
+  let off = (Array.unsafe_get gp bi + disp) land 0xFFFFFFFF in
+  let phys =
+    translate_via cpu mmu (seg_field mmu seg) k ~tr ~seg_name:seg ~offset:off
+      ~size:4 ~write:false
+  in
+  Array.unsafe_set gp di (p_read32 cpu.phys phys)
+
+let[@inline] load_bx cpu ~tr seg k bi xi sc disp di =
+  let gp = cpu.regs.Registers.gp in
+  let mmu = cpu.mmu in
+  let off =
+    (Array.unsafe_get gp bi + (Array.unsafe_get gp xi * sc) + disp)
+    land 0xFFFFFFFF
+  in
+  let phys =
+    translate_via cpu mmu (seg_field mmu seg) k ~tr ~seg_name:seg ~offset:off
+      ~size:4 ~write:false
+  in
+  Array.unsafe_set gp di (p_read32 cpu.phys phys)
+
+let[@inline] store_b cpu ~tr seg k bi disp si =
+  let gp = cpu.regs.Registers.gp in
+  let mmu = cpu.mmu in
+  let off = (Array.unsafe_get gp bi + disp) land 0xFFFFFFFF in
+  let phys =
+    translate_via cpu mmu (seg_field mmu seg) k ~tr ~seg_name:seg ~offset:off
+      ~size:4 ~write:true
+  in
+  p_write32 cpu.phys phys (Array.unsafe_get gp si)
+
+let[@inline] store_bx cpu ~tr seg k bi xi sc disp si =
+  let gp = cpu.regs.Registers.gp in
+  let mmu = cpu.mmu in
+  let off =
+    (Array.unsafe_get gp bi + (Array.unsafe_get gp xi * sc) + disp)
+    land 0xFFFFFFFF
+  in
+  let phys =
+    translate_via cpu mmu (seg_field mmu seg) k ~tr ~seg_name:seg ~offset:off
+      ~size:4 ~write:true
+  in
+  p_write32 cpu.phys phys (Array.unsafe_get gp si)
+
+let[@inline] push_ss cpu ~tr k v =
+  let mmu = cpu.mmu in
+  push32_via cpu mmu mmu.Seghw.Mmu.ss k ~tr Seghw.Segreg.SS v
+
+let[@inline] pop_ss cpu ~tr k =
+  let mmu = cpu.mmu in
+  pop32_via cpu mmu mmu.Seghw.Mmu.ss k ~tr Seghw.Segreg.SS land 0xFFFFFFFF
+
 (* Physical-address closure for one memory operand: addressing shape,
    default segment, and fast-path slot resolved now; the returned
    closure does the adds and one [translate_via]. *)
-let compile_addr (m : Insn.mem) ~size ~write : t -> int =
+let compile_addr ~traced (m : Insn.mem) ~size ~write : t -> int =
   let seg = default_seg m in
   let k = seg_slot seg in
   let disp = m.Insn.disp in
   match (m.Insn.base, m.Insn.index) with
   | Some b, None ->
     let bi = reg_index b in
-    fun cpu ->
-      let mmu = cpu.mmu in
-      let off =
-        (Array.unsafe_get cpu.regs.Registers.gp bi + disp) land 0xFFFFFFFF
-      in
-      translate_via cpu mmu (seg_field mmu seg) k ~tr:None ~seg_name:seg
-        ~offset:off ~size ~write
+    if traced then fun cpu ->
+      addr_b cpu ~tr:(live cpu) seg k bi disp ~size ~write
+    else fun cpu -> addr_b cpu ~tr:None seg k bi disp ~size ~write
   | Some b, Some (x, scale) ->
     let bi = reg_index b and xi = reg_index x in
-    fun cpu ->
-      let gp = cpu.regs.Registers.gp in
-      let mmu = cpu.mmu in
-      let off =
-        (Array.unsafe_get gp bi + (Array.unsafe_get gp xi * scale) + disp)
-        land 0xFFFFFFFF
-      in
-      translate_via cpu mmu (seg_field mmu seg) k ~tr:None ~seg_name:seg
-        ~offset:off ~size ~write
+    if traced then fun cpu ->
+      addr_bx cpu ~tr:(live cpu) seg k bi xi scale disp ~size ~write
+    else fun cpu -> addr_bx cpu ~tr:None seg k bi xi scale disp ~size ~write
   | None, Some (x, scale) ->
     let xi = reg_index x in
-    fun cpu ->
-      let mmu = cpu.mmu in
-      let off =
-        ((Array.unsafe_get cpu.regs.Registers.gp xi * scale) + disp)
-        land 0xFFFFFFFF
-      in
-      translate_via cpu mmu (seg_field mmu seg) k ~tr:None ~seg_name:seg
-        ~offset:off ~size ~write
+    if traced then fun cpu ->
+      addr_x cpu ~tr:(live cpu) seg k xi scale disp ~size ~write
+    else fun cpu -> addr_x cpu ~tr:None seg k xi scale disp ~size ~write
   | None, None ->
     let off = disp land 0xFFFFFFFF in
-    fun cpu ->
-      let mmu = cpu.mmu in
-      translate_via cpu mmu (seg_field mmu seg) k ~tr:None ~seg_name:seg
-        ~offset:off ~size ~write
+    if traced then fun cpu -> addr_d cpu ~tr:(live cpu) seg k off ~size ~write
+    else fun cpu -> addr_d cpu ~tr:None seg k off ~size ~write
 
 (* Compile one non-terminator instruction. [ret] is the closure's
    return value — 0 for body instructions, the fall-through EIP when an
    ordinary instruction ends a block because the next one is a branch
    target. *)
-let compile_insn code idx ~ret : t -> int =
+let compile_insn ~traced code idx ~ret : t -> int =
   let kss = seg_slot Seghw.Segreg.SS in
   match (Array.get code idx : Insn.t) with
   | Insn.Label _ ->
@@ -1291,16 +1371,8 @@ let compile_insn code idx ~ret : t -> int =
     let seg = default_seg m in
     let k = seg_slot seg in
     let bi = reg_index b and di = reg_index d and disp = m.Insn.disp in
-    fun cpu ->
-      let gp = cpu.regs.Registers.gp in
-      let mmu = cpu.mmu in
-      let off = (Array.unsafe_get gp bi + disp) land 0xFFFFFFFF in
-      let phys =
-        translate_via cpu mmu (seg_field mmu seg) k ~tr:None ~seg_name:seg
-          ~offset:off ~size:4 ~write:false
-      in
-      Array.unsafe_set gp di (p_read32 cpu.phys phys);
-      ret
+    if traced then fun cpu -> load_b cpu ~tr:(live cpu) seg k bi disp di; ret
+    else fun cpu -> load_b cpu ~tr:None seg k bi disp di; ret
   | Insn.Mov
       ( Insn.Long,
         Insn.Reg d,
@@ -1312,21 +1384,11 @@ let compile_insn code idx ~ret : t -> int =
     and xi = reg_index x
     and di = reg_index d
     and disp = m.Insn.disp in
-    fun cpu ->
-      let gp = cpu.regs.Registers.gp in
-      let mmu = cpu.mmu in
-      let off =
-        (Array.unsafe_get gp bi + (Array.unsafe_get gp xi * sc) + disp)
-        land 0xFFFFFFFF
-      in
-      let phys =
-        translate_via cpu mmu (seg_field mmu seg) k ~tr:None ~seg_name:seg
-          ~offset:off ~size:4 ~write:false
-      in
-      Array.unsafe_set gp di (p_read32 cpu.phys phys);
-      ret
+    if traced then fun cpu ->
+      load_bx cpu ~tr:(live cpu) seg k bi xi sc disp di; ret
+    else fun cpu -> load_bx cpu ~tr:None seg k bi xi sc disp di; ret
   | Insn.Mov (Insn.Long, Insn.Reg d, Insn.Mem m) ->
-    let pa = compile_addr m ~size:4 ~write:false in
+    let pa = compile_addr ~traced m ~size:4 ~write:false in
     let di = reg_index d in
     fun cpu ->
       Array.unsafe_set cpu.regs.Registers.gp di (p_read32 cpu.phys (pa cpu));
@@ -1338,16 +1400,8 @@ let compile_insn code idx ~ret : t -> int =
     let seg = default_seg m in
     let k = seg_slot seg in
     let bi = reg_index b and si = reg_index s and disp = m.Insn.disp in
-    fun cpu ->
-      let gp = cpu.regs.Registers.gp in
-      let mmu = cpu.mmu in
-      let off = (Array.unsafe_get gp bi + disp) land 0xFFFFFFFF in
-      let phys =
-        translate_via cpu mmu (seg_field mmu seg) k ~tr:None ~seg_name:seg
-          ~offset:off ~size:4 ~write:true
-      in
-      p_write32 cpu.phys phys (Array.unsafe_get gp si);
-      ret
+    if traced then fun cpu -> store_b cpu ~tr:(live cpu) seg k bi disp si; ret
+    else fun cpu -> store_b cpu ~tr:None seg k bi disp si; ret
   | Insn.Mov
       ( Insn.Long,
         Insn.Mem ({ Insn.base = Some b; Insn.index = Some (x, sc); _ } as m),
@@ -1358,33 +1412,23 @@ let compile_insn code idx ~ret : t -> int =
     and xi = reg_index x
     and si = reg_index s
     and disp = m.Insn.disp in
-    fun cpu ->
-      let gp = cpu.regs.Registers.gp in
-      let mmu = cpu.mmu in
-      let off =
-        (Array.unsafe_get gp bi + (Array.unsafe_get gp xi * sc) + disp)
-        land 0xFFFFFFFF
-      in
-      let phys =
-        translate_via cpu mmu (seg_field mmu seg) k ~tr:None ~seg_name:seg
-          ~offset:off ~size:4 ~write:true
-      in
-      p_write32 cpu.phys phys (Array.unsafe_get gp si);
-      ret
+    if traced then fun cpu ->
+      store_bx cpu ~tr:(live cpu) seg k bi xi sc disp si; ret
+    else fun cpu -> store_bx cpu ~tr:None seg k bi xi sc disp si; ret
   | Insn.Mov (Insn.Long, Insn.Mem m, Insn.Reg s) ->
-    let pa = compile_addr m ~size:4 ~write:true in
+    let pa = compile_addr ~traced m ~size:4 ~write:true in
     let si = reg_index s in
     fun cpu ->
       p_write32 cpu.phys (pa cpu) (Array.unsafe_get cpu.regs.Registers.gp si);
       ret
   | Insn.Mov (Insn.Long, Insn.Mem m, Insn.Imm i) ->
-    let pa = compile_addr m ~size:4 ~write:true in
+    let pa = compile_addr ~traced m ~size:4 ~write:true in
     let v = i land 0xFFFFFFFF in
     fun cpu -> p_write32 cpu.phys (pa cpu) v; ret
   | Insn.Mov (Insn.Byte, Insn.Reg d, Insn.Mem m) ->
     (* Byte loads merge into the destination's low byte, exactly
        [write_operand]'s Byte case. *)
-    let pa = compile_addr m ~size:1 ~write:false in
+    let pa = compile_addr ~traced m ~size:1 ~write:false in
     let di = reg_index d in
     fun cpu ->
       let gp = cpu.regs.Registers.gp in
@@ -1392,14 +1436,14 @@ let compile_insn code idx ~ret : t -> int =
       Array.unsafe_set gp di ((Array.unsafe_get gp di land 0xFFFFFF00) lor v);
       ret
   | Insn.Mov (Insn.Byte, Insn.Mem m, Insn.Reg s) ->
-    let pa = compile_addr m ~size:1 ~write:true in
+    let pa = compile_addr ~traced m ~size:1 ~write:true in
     let si = reg_index s in
     fun cpu ->
       p_write8 cpu.phys (pa cpu)
         (Array.unsafe_get cpu.regs.Registers.gp si land 0xFF);
       ret
   | Insn.Mov (Insn.Byte, Insn.Mem m, Insn.Imm i) ->
-    let pa = compile_addr m ~size:1 ~write:true in
+    let pa = compile_addr ~traced m ~size:1 ~write:true in
     let v = i land 0xFF in
     fun cpu -> p_write8 cpu.phys (pa cpu) v; ret
   | Insn.Mov (w, dst, src) -> fun cpu -> eff_mov cpu w dst src; ret
@@ -1434,7 +1478,7 @@ let compile_insn code idx ~ret : t -> int =
        let v = disp land 0xFFFFFFFF in
        fun cpu -> Array.unsafe_set cpu.regs.Registers.gp di v; ret)
   | Insn.Movsx (r, Insn.Mem m, Insn.Byte) ->
-    let pa = compile_addr m ~size:1 ~write:false in
+    let pa = compile_addr ~traced m ~size:1 ~write:false in
     let di = reg_index r in
     fun cpu ->
       Array.unsafe_set cpu.regs.Registers.gp di
@@ -1442,7 +1486,7 @@ let compile_insn code idx ~ret : t -> int =
       ret
   | Insn.Movsx (r, src, w) -> fun cpu -> eff_movsx cpu r src w; ret
   | Insn.Movzx (r, Insn.Mem m, Insn.Byte) ->
-    let pa = compile_addr m ~size:1 ~write:false in
+    let pa = compile_addr ~traced m ~size:1 ~write:false in
     let di = reg_index r in
     fun cpu ->
       Array.unsafe_set cpu.regs.Registers.gp di
@@ -1497,7 +1541,7 @@ let compile_insn code idx ~ret : t -> int =
         (alu_result cpu op (Array.unsafe_get gp di) b land 0xFFFFFFFF);
       ret
   | Insn.Alu (op, Insn.Reg d, Insn.Mem m) ->
-    let pa = compile_addr m ~size:4 ~write:false in
+    let pa = compile_addr ~traced m ~size:4 ~write:false in
     let di = reg_index d in
     fun cpu ->
       let b = p_read32 cpu.phys (pa cpu) in
@@ -1511,8 +1555,8 @@ let compile_insn code idx ~ret : t -> int =
        lowering. Two pre-resolved translations in the generic effect's
        order — dst read, flags, dst write — so a write fault still
        lands after the flags commit, exactly like [eff_alu]. *)
-    let ra = compile_addr m ~size:4 ~write:false in
-    let wa = compile_addr m ~size:4 ~write:true in
+    let ra = compile_addr ~traced m ~size:4 ~write:false in
+    let wa = compile_addr ~traced m ~size:4 ~write:true in
     let si = reg_index s in
     fun cpu ->
       let ph = cpu.phys in
@@ -1521,8 +1565,8 @@ let compile_insn code idx ~ret : t -> int =
       p_write32 ph (wa cpu) r;
       ret
   | Insn.Alu (op, Insn.Mem m, Insn.Imm i) ->
-    let ra = compile_addr m ~size:4 ~write:false in
-    let wa = compile_addr m ~size:4 ~write:true in
+    let ra = compile_addr ~traced m ~size:4 ~write:false in
+    let wa = compile_addr ~traced m ~size:4 ~write:true in
     let b = i land 0xFFFFFFFF in
     fun cpu ->
       let ph = cpu.phys in
@@ -1574,11 +1618,11 @@ let compile_insn code idx ~ret : t -> int =
       set_flags_sub cpu (Array.unsafe_get cpu.regs.Registers.gp ai) b;
       ret
   | Insn.Cmp (Insn.Mem m, Insn.Imm i) ->
-    let pa = compile_addr m ~size:4 ~write:false in
+    let pa = compile_addr ~traced m ~size:4 ~write:false in
     let b = i land 0xFFFFFFFF in
     fun cpu -> set_flags_sub cpu (p_read32 cpu.phys (pa cpu)) b; ret
   | Insn.Cmp (Insn.Mem m, Insn.Reg b) ->
-    let pa = compile_addr m ~size:4 ~write:false in
+    let pa = compile_addr ~traced m ~size:4 ~write:false in
     let bi = reg_index b in
     fun cpu ->
       set_flags_sub cpu
@@ -1586,7 +1630,7 @@ let compile_insn code idx ~ret : t -> int =
         (Array.unsafe_get cpu.regs.Registers.gp bi);
       ret
   | Insn.Cmp (Insn.Reg a, Insn.Mem m) ->
-    let pa = compile_addr m ~size:4 ~write:false in
+    let pa = compile_addr ~traced m ~size:4 ~write:false in
     let ai = reg_index a in
     fun cpu ->
       let av = Array.unsafe_get cpu.regs.Registers.gp ai in
@@ -1613,14 +1657,14 @@ let compile_insn code idx ~ret : t -> int =
       Array.unsafe_set fp di (Array.unsafe_get fp si);
       ret
   | Insn.Fmov (Insn.Freg d, Insn.Fmem m) ->
-    let pa = compile_addr m ~size:8 ~write:false in
+    let pa = compile_addr ~traced m ~size:8 ~write:false in
     let di = freg_index d in
     fun cpu ->
       Array.unsafe_set cpu.regs.Registers.fp di
         (p_read_float cpu.phys (pa cpu));
       ret
   | Insn.Fmov (Insn.Fmem m, Insn.Freg s) ->
-    let pa = compile_addr m ~size:8 ~write:true in
+    let pa = compile_addr ~traced m ~size:8 ~write:true in
     let si = freg_index s in
     fun cpu ->
       p_write_float cpu.phys (pa cpu)
@@ -1661,7 +1705,7 @@ let compile_insn code idx ~ret : t -> int =
            (Array.unsafe_get fp di /. Array.unsafe_get fp si);
          ret)
   | Insn.Falu (op, d, Insn.Fmem m) ->
-    let pa = compile_addr m ~size:8 ~write:false in
+    let pa = compile_addr ~traced m ~size:8 ~write:false in
     let di = freg_index d in
     (match op with
      | Insn.Fadd ->
@@ -1695,25 +1739,24 @@ let compile_insn code idx ~ret : t -> int =
   | Insn.Cvtsd2si (d, src) -> fun cpu -> eff_cvtsd2si cpu d src; ret
   | Insn.Push (Insn.Reg s) ->
     let si = reg_index s in
-    fun cpu ->
-      let mmu = cpu.mmu in
-      push32_via cpu mmu mmu.Seghw.Mmu.ss kss ~tr:None Seghw.Segreg.SS
-        (Array.unsafe_get cpu.regs.Registers.gp si);
+    if traced then fun cpu ->
+      push_ss cpu ~tr:(live cpu) kss (Array.unsafe_get cpu.regs.Registers.gp si);
+      ret
+    else fun cpu ->
+      push_ss cpu ~tr:None kss (Array.unsafe_get cpu.regs.Registers.gp si);
       ret
   | Insn.Push (Insn.Imm i) ->
     let v = i land 0xFFFFFFFF in
-    fun cpu ->
-      let mmu = cpu.mmu in
-      push32_via cpu mmu mmu.Seghw.Mmu.ss kss ~tr:None Seghw.Segreg.SS v;
-      ret
+    if traced then fun cpu -> push_ss cpu ~tr:(live cpu) kss v; ret
+    else fun cpu -> push_ss cpu ~tr:None kss v; ret
   | Insn.Push o -> fun cpu -> eff_push cpu o; ret
   | Insn.Pop (Insn.Reg d) ->
     let di = reg_index d in
-    fun cpu ->
-      let mmu = cpu.mmu in
-      Array.unsafe_set cpu.regs.Registers.gp di
-        (pop32_via cpu mmu mmu.Seghw.Mmu.ss kss ~tr:None Seghw.Segreg.SS
-         land 0xFFFFFFFF);
+    if traced then fun cpu ->
+      Array.unsafe_set cpu.regs.Registers.gp di (pop_ss cpu ~tr:(live cpu) kss);
+      ret
+    else fun cpu ->
+      Array.unsafe_set cpu.regs.Registers.gp di (pop_ss cpu ~tr:None kss);
       ret
   | Insn.Pop o -> fun cpu -> eff_pop cpu o; ret
   | Insn.Mov_from_seg (o, name) -> fun cpu -> eff_mov_from_seg cpu o name; ret
@@ -1739,7 +1782,7 @@ let compile_insn code idx ~ret : t -> int =
    [targets] entry is read once, here. A block can also end on an
    ordinary instruction (the next one is a branch target), in which
    case the fall-through EIP is baked into the ordinary closure. *)
-let compile_term code targets idx : t -> int =
+let compile_term ~traced code targets idx : t -> int =
   let next = idx + 1 in
   match (Array.get code idx : Insn.t) with
   | Insn.Jmp _ ->
@@ -1762,13 +1805,21 @@ let compile_term code targets idx : t -> int =
   | Insn.Call _ ->
     let tgt = Array.get targets idx in
     let kds = seg_slot Seghw.Segreg.DS in
-    fun cpu ->
+    if traced then fun cpu ->
+      let mmu = cpu.mmu in
+      push32_via cpu mmu mmu.Seghw.Mmu.ds kds ~tr:(live cpu) Seghw.Segreg.DS
+        next;
+      tgt
+    else fun cpu ->
       let mmu = cpu.mmu in
       push32_via cpu mmu mmu.Seghw.Mmu.ds kds ~tr:None Seghw.Segreg.DS next;
       tgt
   | Insn.Ret ->
     let kds = seg_slot Seghw.Segreg.DS in
-    fun cpu ->
+    if traced then fun cpu ->
+      let mmu = cpu.mmu in
+      pop32_via cpu mmu mmu.Seghw.Mmu.ds kds ~tr:(live cpu) Seghw.Segreg.DS
+    else fun cpu ->
       let mmu = cpu.mmu in
       pop32_via cpu mmu mmu.Seghw.Mmu.ds kds ~tr:None Seghw.Segreg.DS
   | Insn.Halt ->
@@ -1777,7 +1828,7 @@ let compile_term code targets idx : t -> int =
       next
   | i ->
     if Program.block_terminator i then fun cpu -> exec cpu idx i
-    else compile_insn code idx ~ret:next
+    else compile_insn ~traced code idx ~ret:next
 
 (* The process-wide shared superblock cache. The closure compiler above
    captures nothing CPU-specific, so a program's compiled closure set
@@ -1789,6 +1840,11 @@ let compile_term code targets idx : t -> int =
    Compilation happens under the lock — it is a few microseconds of
    closure allocation, and holding the lock gives the strict
    at-most-once-per-program guarantee the serve-scale tests pin.
+
+   An entry holds the program's two closure sets, each built on the
+   first run that needs it: the untraced set, and the traced set for
+   runs under a sink. Only the untraced set moves the build and bind
+   counters; the traced set is the same partition compiled again.
 
    The table is an ephemeron keyed on the [Program.t] record: an entry
    lives exactly as long as its program does, and is swept by the GC
@@ -1807,35 +1863,58 @@ module Ublk_tbl = Ephemeron.K1.Make (struct
   let hash (p : Program.t) = p.Program.uid
 end)
 
-let shared_ublocks : (t -> int) array array Ublk_tbl.t = Ublk_tbl.create 64
+type ublock_sets = {
+  mutable plain : (t -> int) array array;  (* [||] until built *)
+  mutable traced : (t -> int) array array;
+}
+
+let shared_ublocks : ublock_sets Ublk_tbl.t = Ublk_tbl.create 64
 let shared_ublocks_lock = Mutex.create ()
 
-(* Bind (or compile) the program's closure set on the first [Block] run. *)
-let build_ublocks t =
+(* Bind (or compile) the program's closure set for a traced or an
+   untraced run, on the CPU's first such [Block] run; returns it. *)
+let build_ublocks t ~traced =
   let nb = Array.length t.block_starts in
-  t.ublocks <-
+  let ub =
     Mutex.protect shared_ublocks_lock (fun () ->
-        match Ublk_tbl.find_opt shared_ublocks t.program with
-        | Some ub ->
-          ignore (Atomic.fetch_and_add blocks_bound_total nb : int);
+        let sets =
+          match Ublk_tbl.find_opt shared_ublocks t.program with
+          | Some sets -> sets
+          | None ->
+            let sets = { plain = [||]; traced = [||] } in
+            Ublk_tbl.add shared_ublocks t.program sets;
+            sets
+        in
+        let ub = if traced then sets.traced else sets.plain in
+        if Array.length ub = nb then begin
+          if not traced then
+            ignore (Atomic.fetch_and_add blocks_bound_total nb : int);
           ub
-        | None ->
+        end
+        else begin
           let code = t.code and targets = t.targets in
           let ub =
             Array.init nb (fun b ->
                 let start = t.block_starts.(b) in
                 let len = t.block_lens.(b) in
                 Array.init len (fun j ->
-                    if j = len - 1 then compile_term code targets (start + j)
-                    else compile_insn code (start + j) ~ret:0))
+                    if j = len - 1 then
+                      compile_term ~traced code targets (start + j)
+                    else compile_insn ~traced code (start + j) ~ret:0))
           in
-          Ublk_tbl.add shared_ublocks t.program ub;
-          ignore (Atomic.fetch_and_add blocks_built_total nb : int);
-          ignore
-            (Atomic.fetch_and_add block_insns_total (Array.length t.code)
-              : int);
-          ub);
-  t.ublocks_ready <- true
+          if traced then sets.traced <- ub
+          else begin
+            sets.plain <- ub;
+            ignore (Atomic.fetch_and_add blocks_built_total nb : int);
+            ignore
+              (Atomic.fetch_and_add block_insns_total (Array.length t.code)
+                : int)
+          end;
+          ub
+        end)
+  in
+  if traced then t.tublocks <- ub else t.ublocks <- ub;
+  ub
 
 (* --- the reference engine (the equivalence oracle) --------------------- *)
 
@@ -1953,14 +2032,17 @@ let step t =
 (* Commit a partially executed block after an exception: [k] body
    instructions starting at [start] retired, EIP resting on the
    faulting instruction — byte-identical to where the per-instruction
-   engines would stop. Cold path: per-site costs are summed on
-   demand. *)
+   engines would stop, retire counts included under a sink. Cold path:
+   per-site costs are summed on demand. *)
 let commit_partial t start k =
   if k > 0 then begin
     t.insns_executed <- t.insns_executed + k;
     let acc = ref 0 in
     for i = start to start + k - 1 do
-      acc := !acc + Array.unsafe_get t.cost_tab i
+      acc := !acc + Array.unsafe_get t.cost_tab i;
+      match t.sink with
+      | None -> ()
+      | Some _ -> t.prof_hits.(i) <- t.prof_hits.(i) + 1
     done;
     t.cycles <- t.cycles + !acc
   end;
@@ -1998,8 +2080,8 @@ let run ?(fuel = 4_000_000_000) t =
       match t.sink with None -> () | Some s -> credit_tally t s)
     (fun () ->
       try
-        match t.engine, t.sink with
-        | Block, None ->
+        match t.engine with
+        | Block ->
           (* The superblock loop: one dispatch, one EIP store, and one
              instruction/cycle commit per straight-line region. The
              body closures run with [t.eip] parked at the block start;
@@ -2011,15 +2093,26 @@ let run ?(fuel = 4_000_000_000) t =
              unchanged. Entry at a non-block-start EIP (a RET to a
              computed address) and blocks straddling the fuel budget
              fall back to exact per-instruction stepping until the loop
-             re-synchronises on a block start. *)
-          if not t.ublocks_ready then build_ublocks t;
+             re-synchronises on a block start.
+
+             Under a sink the loop runs the traced closure set, and
+             keeps [prof_hits] (per-site retire counts, the profiler's
+             input, sized to [code] by [set_sink]) exact at every stop:
+             a completed block bumps its whole range, a fallback step
+             its own site, and [commit_partial] the retired prefix. *)
+          let traced = match t.sink with Some _ -> true | None -> false in
+          let ublocks = if traced then t.tublocks else t.ublocks in
+          let ublocks =
+            if Array.length ublocks = 0 then build_ublocks t ~traced
+            else ublocks
+          in
           let code = t.code in
           let cost_tab = t.cost_tab in
           let limit = Array.length code in
           let block_at = t.block_at in
           let lens = t.block_lens in
           let bcost = t.block_cost in
-          let ublocks = t.ublocks in
+          let prof = t.prof_hits in
           (* [j] counts completed closures of the block in flight, -1
              whenever execution is not inside a block (the
              per-instruction fallback keeps exact per-step commits on
@@ -2049,14 +2142,20 @@ let run ?(fuel = 4_000_000_000) t =
                  let next = (Array.unsafe_get blk n1) t in
                  t.eip <- next;
                  t.insns_executed <- t.insns_executed + n1 + 1;
-                 t.cycles <- t.cycles + Array.unsafe_get bcost bid
+                 t.cycles <- t.cycles + Array.unsafe_get bcost bid;
+                 if traced then
+                   for i = !bstart to !bstart + n1 do
+                     Array.unsafe_set prof i (Array.unsafe_get prof i + 1)
+                   done
                end
                else begin
                  if t.insns_executed >= fuel then raise Out_of_fuel;
                  let next = exec t eip (Array.unsafe_get code eip) in
                  t.eip <- next;
                  t.insns_executed <- t.insns_executed + 1;
-                 t.cycles <- t.cycles + Array.unsafe_get cost_tab eip
+                 t.cycles <- t.cycles + Array.unsafe_get cost_tab eip;
+                 if traced then
+                   Array.unsafe_set prof eip (Array.unsafe_get prof eip + 1)
                end
              done
            with e ->
@@ -2066,29 +2165,7 @@ let run ?(fuel = 4_000_000_000) t =
                 it. *)
              (if !j >= 0 then commit_partial t !bstart !j);
              raise e)
-        | Block, Some _ ->
-          (* The traced loop: steps [exec] per instruction with the
-             same commits plus one per-site retire count, the
-             profiler's raw input. [prof_hits] is sized to [code] by
-             [set_sink]. A traced [Block] CPU neither builds nor enters
-             superblocks, and its per-segment fast path emits the same
-             events as the TLB probe it skips. *)
-          let code = t.code in
-          let cost_tab = t.cost_tab in
-          let prof = t.prof_hits in
-          let limit = Array.length code in
-          while (match t.status with Running -> true | _ -> false) do
-            if t.insns_executed >= fuel then raise Out_of_fuel;
-            let eip = t.eip in
-            if eip < 0 || eip >= limit then
-              Seghw.Fault.gp (Printf.sprintf "EIP %d outside code" eip);
-            let next = exec t eip (Array.unsafe_get code eip) in
-            t.eip <- next;
-            t.insns_executed <- t.insns_executed + 1;
-            t.cycles <- t.cycles + Array.unsafe_get cost_tab eip;
-            Array.unsafe_set prof eip (Array.unsafe_get prof eip + 1)
-          done
-        | Reference, _ ->
+        | Reference ->
           while (match t.status with Running -> true | _ -> false) do
             if t.insns_executed >= fuel then raise Out_of_fuel;
             step_reference t

@@ -16,7 +16,7 @@
     lowered program one instruction at a time (pre-resolved branch
     targets, a per-site cycle-cost table, pre-interned stat counters,
     exception-free control flow) for fuel straddles and mid-block
-    entries, for {!step}, and whenever a trace sink is attached.
+    entries, and for {!step}.
     {!Reference} is the original interpreter, kept as the oracle for the
     equivalence suite. Both produce bit-identical cycles, instruction
     counts, and machine state. *)
@@ -102,7 +102,9 @@ val total_retired : unit -> int
     argument — so each {e program}'s closure set compiles once, lazily,
     on the first run of the first machine executing it, and lands in a
     process-wide shared cache keyed on [Program.uid]. Reported as BENCH
-    schema 4's ["blocks_built"]. *)
+    schema 4's ["blocks_built"]. Counts the untraced closure set only:
+    the set a traced run executes is the same partition compiled a
+    second time, and moves neither this counter nor {!blocks_bound}. *)
 val blocks_built : unit -> int
 
 (** Instructions covered by those compiled superblocks; divided by
@@ -127,9 +129,10 @@ val chain_insns_linked : unit -> int
     forwarded to [Seghw.Mmu.set_trace]) emit typed events: segment
     register loads, limit checks, TLB hits/misses/evictions, and
     exactly one [Fault] event per architectural fault caught by {!run}.
-    It also switches {!run} to the traced stepping loop, which executes
-    one instruction at a time under {!Block} too (no superblocks) and
-    counts per-site retires for the cycle profiler.
+    Under {!Block}, {!run} then executes the same superblocks through a
+    second closure set whose accesses emit to the sink, and counts
+    per-site retires for the cycle profiler: per block, per fallback
+    step, and per retired prefix of a block a fault interrupts.
     Tracing never changes simulated semantics: cycles, stat counters,
     registers, and memory are bit-identical with and without a sink
     (pinned by the oracle suite in [test/test_predecode.ml]). *)

@@ -13,15 +13,22 @@
    the lowest-indexed one. Callers therefore see output byte-identical
    to a serial run no matter how the domains interleave. *)
 
-let default_jobs () =
-  match Sys.getenv_opt "CASH_JOBS" with
-  | None -> Domain.recommended_domain_count ()
+let jobs_of_env = function
+  | None -> Ok (Domain.recommended_domain_count ())
   | Some s ->
     (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> n
+     | Some n when n >= 1 -> Ok n
      | _ ->
-       failwith
-         (Printf.sprintf "CASH_JOBS must be a positive integer, got %S" s))
+       Error (Printf.sprintf "CASH_JOBS must be a positive integer, got %S" s))
+
+(* Read once: a malformed value is reported by the CLIs through
+   [resolve_jobs] before any [run_jobs] falls back on it. *)
+let env_jobs = jobs_of_env (Sys.getenv_opt "CASH_JOBS")
+
+let resolve_jobs = function Some j -> Ok j | None -> env_jobs
+
+let default_jobs () =
+  match env_jobs with Ok n -> n | Error msg -> failwith msg
 
 (* True while the current domain is executing jobs for an enclosing
    [run_jobs]: a nested call then runs serially instead of fanning out
@@ -117,10 +124,14 @@ let run_round ~helpers work =
 
 let run_jobs ?jobs (tasks : (unit -> 'a) array) : 'a array =
   let n = Array.length tasks in
+  (* A nested call runs serially whatever its [?jobs]; deciding that
+     first keeps it from falling back on [CASH_JOBS], so under a CLI
+     given [-j] nothing reads the variable. *)
   let jobs =
-    max 1 (min n (match jobs with Some j -> j | None -> default_jobs ()))
+    if n = 0 || Domain.DLS.get inside_worker then 1
+    else min n (match jobs with Some j -> j | None -> default_jobs ())
   in
-  if n = 0 || jobs = 1 || Domain.DLS.get inside_worker then run_serial tasks
+  if jobs <= 1 then run_serial tasks
   else begin
     (* One slot per job; every slot is written by exactly one worker, so
        the only cross-domain handoff is the round's barrier. *)

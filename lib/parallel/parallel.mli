@@ -31,21 +31,26 @@
     call uses the helpers at a time; a concurrent top-level call from
     another domain waits for it. *)
 
-(** Worker count used when [?jobs] is not given: the [CASH_JOBS]
-    environment variable if set (CI pins it), otherwise
-    [Domain.recommended_domain_count ()]. The CLIs' [-j]/[--jobs]
-    options, parsed by cmdliner, override it.
-    @raise Failure if [CASH_JOBS] is set but not a positive integer. *)
-val default_jobs : unit -> int
+(** [jobs_of_env v] reads a value [v] of the [CASH_JOBS] environment
+    variable: unset ([None]) gives [Domain.recommended_domain_count ()],
+    a positive decimal integer (blanks around it allowed) gives itself,
+    and anything else an [Error] that names the variable. *)
+val jobs_of_env : string option -> (int, string) result
+
+(** [resolve_jobs j] is the worker count of a CLI whose [-j]/[--jobs]
+    option read [j]: [j] when given, otherwise {!jobs_of_env} of this
+    process's [CASH_JOBS], read once at startup (CI pins the
+    variable). A CLI reports an [Error] as a usage error. *)
+val resolve_jobs : int option -> (int, string) result
 
 (** [run_jobs ?jobs tasks] runs every task and returns their results in
-    task order. At most [jobs] (default {!default_jobs}) domains run at
-    once, the calling domain included; [jobs] is clamped to the number
-    of tasks. Above one job the call wakes [jobs - 1] persistent
-    helpers and returns once all of them are done. With an effective
-    job count of 1 — or when called from inside another [run_jobs]
-    worker — the tasks run serially in the calling domain, waking
-    nothing. *)
+    task order. At most [jobs] domains run at once, the calling domain
+    included; [jobs] defaults to [resolve_jobs None] (raising [Failure]
+    on its [Error]) and is clamped to the number of tasks. Above one
+    job the call wakes [jobs - 1] persistent helpers and returns once
+    all of them are done. With an effective job count of 1 — or when
+    called from inside another [run_jobs] worker — the tasks run
+    serially in the calling domain, waking nothing. *)
 val run_jobs : ?jobs:int -> (unit -> 'a) array -> 'a array
 
 (** [map ?jobs f xs] = [run_jobs ?jobs] over [fun () -> f x], keeping

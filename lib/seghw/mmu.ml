@@ -107,7 +107,7 @@ let[@inline] linear_to_physical t ~linear ~write =
   if frame >= 0 then begin
     (match t.trace with
      | None -> ()
-     | Some s -> Trace.emit s Trace.Tlb_hit);
+     | Some s -> Trace.tlb_hit s);
     (frame lsl Paging.page_shift) lor (linear land 0xFFF)
   end
   else begin
@@ -146,10 +146,8 @@ let[@inline] translate t ~seg_name ~offset ~size ~write =
        && size > 0
        && off + size - 1 <= sr.Segreg.f_limit
      in
-     Trace.emit s
-       (Trace.Limit_check
-          { seg = Segreg.name_to_string seg_name; base = sr.Segreg.f_base;
-            offset = off; size; write; ok }));
+     Trace.limit_check s ~seg:(Segreg.index seg_name) ~base:sr.Segreg.f_base
+       ~offset:off ~size ~write ~ok);
   let linear = Segreg.translate sr ~name:seg_name ~offset ~size ~write ~stack in
   linear_to_physical t ~linear ~write
 

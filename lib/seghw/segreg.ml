@@ -23,6 +23,8 @@ let name_to_string = function
 
 let all_names = [ CS; SS; DS; ES; FS; GS ]
 
+let index = function CS -> 0 | SS -> 1 | DS -> 2 | ES -> 3 | FS -> 4 | GS -> 5
+
 type t = {
   mutable selector : Selector.t;
   mutable cache : Descriptor.t option;

@@ -15,6 +15,10 @@ type name = CS | SS | DS | ES | FS | GS
 val name_to_string : name -> string
 val all_names : name list
 
+(** A register's position in [all_names]: the segment index of
+    [Trace.limit_check]. *)
+val index : name -> int
+
 (** Exposed concretely so the interpreter's flattened translation fast
     path can run the limit check over the [f_*] scalar mirror with
     direct field loads (cross-module calls are opaque under dune's dev

@@ -24,8 +24,8 @@ val table8_names : unit -> string list
 type t
 
 (** [create ()] — a server. [warms] (default empty) is the replay
-    target set; [jobs] caps worker domains (default
-    [Parallel.default_jobs]); [batch] (default 256) is how many
+    target set; [jobs] caps worker domains (default: [CASH_JOBS], see
+    {!Parallel.run_jobs}); [batch] (default 256) is how many
     requests are in flight per dispatch; [engine] is the default CPU
     engine for requests that don't name one (default: the ambient
     {!Core.default_engine}).

@@ -9,22 +9,26 @@
    plugins, and the per-function cycle attribution the profiler merges
    in after a run.
 
-   Overhead policy: the traced-off cost is one load-and-branch per
-   would-be event at each emitting site (no event is even constructed),
-   so the hot path stays within noise of the untraced engine. The traced
-   cost is the event record the emitting site builds (none for the
-   constant [Tlb_hit]), one counter bump, one ring store, and one call
-   per plugin that reads the event's kind: each plugin declares its
-   kinds ([p_kinds]) and [emit] walks only that kind's subscriber list,
-   so a kind no plugin reads (with the shipped set, [Tlb_hit]) costs no
-   plugin call at all. Nothing else allocates on the hot events
-   ([Limit_check], [Tlb_hit]): the ring stores the event itself (no
-   option box), [emit] walks the subscriber list without building a
-   closure, and the shipped plugins keep their books in mutable fields
-   and flat arrays. test/test_trace.ml pins that budget in minor words
-   per event. Tracing never changes simulated semantics — cycles, stat
-   counters, memory and table output are bit-identical either way;
-   test/test_predecode.ml pins this. *)
+   Overhead policy: the traced-off cost is at most one load-and-branch
+   per would-be event at each emitting site (no event is even
+   constructed; the block engine's untraced closures do not even test),
+   so the hot path stays within noise of the untraced engine. The
+   traced cost of an event is one counter bump, one ring store, and one
+   call per plugin that reads the event's kind: each plugin declares
+   its kinds ([p_kinds]) and the sink walks only that kind's subscriber
+   list, so a kind no plugin reads (with the shipped set, [Tlb_hit])
+   costs no plugin call at all. The two hot kinds have their own entry
+   points, [limit_check] and [tlb_hit]: their ring slot is a few int
+   stores, and the event record is built only for a plugin that reads
+   it, so the ring keeps no record alive and a hot event no plugin
+   reads allocates nothing. [events] rebuilds the record. Every other
+   kind goes through [emit] with the record its emitting site builds.
+   Nothing else allocates: [emit] walks the subscriber list without
+   building a closure, and the shipped plugins keep their books in
+   mutable fields and flat arrays. test/test_trace.ml pins that budget
+   in minor words per event. Tracing never changes simulated semantics
+   — cycles, stat counters, memory and table output are bit-identical
+   either way; test/test_predecode.ml pins this. *)
 
 type ldt_path = Slow_syscall | Call_gate
 
@@ -436,7 +440,14 @@ type plugin_state = ..
 
 type sink = {
   counters : int array;           (* indexed by kind_index *)
-  ring : event array;             (* circular buffer of recent events *)
+  ring : event array;             (* circular buffer of recent events:
+                                     the boxed slots (see [slots]) *)
+  slots : int array;
+      (* three ints per ring slot: a tag, then a limit check's base and
+         offset. Tag 0: the event is [ring.(i)]; tag 1: [Tlb_hit]; any
+         other tag is a [Limit_check] packed by [limit_check_tag]. The
+         two hot kinds are stored here as ints, so the ring keeps no
+         record of theirs alive. *)
   capacity : int;
   mutable head : int;             (* next write position *)
   mutable filled : int;           (* live ring slots, at most [capacity] *)
@@ -527,6 +538,7 @@ let create ?(capacity = 4096) () =
       (* [Tlb_hit] is a constant constructor: a placeholder that
          allocates nothing; only the first [filled] slots are read *)
       ring = Array.make capacity Tlb_hit;
+      slots = Array.make (3 * capacity) 0;
       capacity;
       head = 0;
       filled = 0;
@@ -567,12 +579,41 @@ let finish_plugins t =
 
 let count t kind = t.counters.(kind_index kind)
 
-(* Append one event to the ring, overwriting the oldest once full. *)
-let ring_push t ev =
-  t.ring.(t.head) <- ev;
+(* Move the ring's head past the slot just written, overwriting the
+   oldest once full. *)
+let[@inline] ring_advance t =
   let h = t.head + 1 in
   t.head <- (if h = t.capacity then 0 else h);
   if t.filled < t.capacity then t.filled <- t.filled + 1
+
+(* Append one event to the ring as a boxed slot. *)
+let ring_push t ev =
+  t.ring.(t.head) <- ev;
+  Array.unsafe_set t.slots (3 * t.head) 0;
+  ring_advance t
+
+(* The segment names of [limit_check]'s [seg] index, in the order of
+   [Seghw.Segreg.name]. *)
+let seg_names = [| "CS"; "SS"; "DS"; "ES"; "FS"; "GS" |]
+
+(* A limit check's slot tag: bit 1 marks the kind (so the tag is never
+   0 or 1), bits 2-3 [write] and [ok], bits 4-6 the segment index, and
+   the access size above them. *)
+let[@inline] limit_check_tag ~seg ~size ~write ~ok =
+  2 lor (if write then 4 else 0) lor (if ok then 8 else 0) lor (seg lsl 4)
+  lor (size lsl 7)
+
+(* The event in ring slot [i], rebuilt from its ints when unboxed. *)
+let slot_event t i =
+  let s = 3 * i in
+  match t.slots.(s) with
+  | 0 -> t.ring.(i)
+  | 1 -> Tlb_hit
+  | tag ->
+    Limit_check
+      { seg = seg_names.((tag lsr 4) land 7); base = t.slots.(s + 1);
+        offset = t.slots.(s + 2); size = tag asr 7; write = tag land 4 <> 0;
+        ok = tag land 8 <> 0 }
 
 let want_next t ~checker =
   match find_instance t checker with
@@ -598,6 +639,22 @@ let rec feed_requested t ev bit req = function
       i.i_spec.p_on_event t i.i_state ev;
     feed_requested t ev bit req rest
 
+(* Hand an event of kind index [ki], already counted and in the ring,
+   to the plugins that read it. *)
+let feed t ki ev =
+  match t.requested with
+  | [] -> feed_plugins t ev (Array.unsafe_get t.subscribers ki)
+  | req ->
+    (* Requests made while this event is fed are for the one after it. *)
+    t.requested <- [];
+    feed_requested t ev (1 lsl ki) req t.plugins
+
+(* Whether any plugin would be fed an event of kind index [ki]. *)
+let[@inline] wanted t ki =
+  match t.requested with
+  | [] -> (match Array.unsafe_get t.subscribers ki with [] -> false | _ -> true)
+  | _ -> true
+
 let emit t ev =
   let k = kind_of_event ev in
   let ki = kind_index k in
@@ -618,12 +675,35 @@ let emit t ev =
    | _ -> ());
   ring_push t ev;
   t.total <- t.total + 1;
-  match t.requested with
-  | [] -> feed_plugins t ev (Array.unsafe_get t.subscribers ki)
-  | req ->
-    (* Requests made while this event is fed are for the one after it. *)
-    t.requested <- [];
-    feed_requested t ev (1 lsl ki) req t.plugins
+  feed t ki ev
+
+let ki_limit_check_pass = kind_index K_limit_check_pass
+let ki_limit_check_fail = kind_index K_limit_check_fail
+let ki_tlb_hit = kind_index K_tlb_hit
+
+(* The two hot kinds: the same counter, ring and feed steps as [emit],
+   with the ring slot written as ints and the event built only for a
+   plugin that reads it. *)
+let limit_check t ~seg ~base ~offset ~size ~write ~ok =
+  let ki = if ok then ki_limit_check_pass else ki_limit_check_fail in
+  Array.unsafe_set t.counters ki (Array.unsafe_get t.counters ki + 1);
+  let s = 3 * t.head in
+  Array.unsafe_set t.slots s (limit_check_tag ~seg ~size ~write ~ok);
+  Array.unsafe_set t.slots (s + 1) base;
+  Array.unsafe_set t.slots (s + 2) offset;
+  ring_advance t;
+  t.total <- t.total + 1;
+  if wanted t ki then
+    feed t ki
+      (Limit_check { seg = seg_names.(seg); base; offset; size; write; ok })
+
+let tlb_hit t =
+  let ki = ki_tlb_hit in
+  Array.unsafe_set t.counters ki (Array.unsafe_get t.counters ki + 1);
+  Array.unsafe_set t.slots (3 * t.head) 1;
+  ring_advance t;
+  t.total <- t.total + 1;
+  if wanted t ki then feed t ki Tlb_hit
 
 let credit t ~limit_checks ~tlb_hits ~tlb_misses =
   t.hw_limit_checks <- t.hw_limit_checks + limit_checks;
@@ -648,7 +728,7 @@ let events t =
   (* Oldest-first: the [filled] live slots end just before [head]. *)
   let acc = ref [] in
   for i = 1 to t.filled do
-    acc := t.ring.((t.head - i + t.capacity) mod t.capacity) :: !acc
+    acc := slot_event t ((t.head - i + t.capacity) mod t.capacity) :: !acc
   done;
   !acc
 

@@ -22,14 +22,16 @@
     events one by one.
 
     The emitting layers hold a [sink option] and test it before
-    constructing an event, so a detached run pays one load-and-branch
-    per would-be event and allocates nothing. An attached sink costs
-    the event record, one counter bump and one ring store per event,
+    constructing an event, so a detached run pays at most one
+    load-and-branch per would-be event and allocates nothing. An
+    attached sink costs one counter bump and one ring store per event,
     plus one call to each plugin that reads the event's kind: a kind no
-    plugin reads costs no plugin call. The shipped plugins read
-    [limit_check.pass] only in [stack_smash] and [tlb.hit] in none. The
-    ring, the dispatch and the shipped plugins add no allocation of
-    their own on [Limit_check] and [Tlb_hit]. Tracing never changes
+    plugin reads costs no plugin call. The two hot kinds enter through
+    {!limit_check} and {!tlb_hit}, which keep their ring slot as ints
+    and build the event record only for a plugin that reads it; every
+    other kind costs the record its emitting site builds. The shipped
+    plugins read [limit_check.pass] only in [stack_smash] and [tlb.hit]
+    in none, and add no allocation of their own. Tracing never changes
     simulated semantics: cycles, counters, memory, and table output are
     bit-identical with and without a sink attached (asserted by the
     oracle suite in [test/test_predecode.ml]). *)
@@ -241,6 +243,22 @@ val finish_plugins : sink -> unit
     the plugins that read its kind (and any that asked for it with
     {!want_next}) in attach order. *)
 val emit : sink -> event -> unit
+
+(** [limit_check sink ~seg ~base ~offset ~size ~write ~ok] records
+    [Limit_check { seg = name; base; offset; size; write; ok }] exactly
+    as {!emit} would, where [seg] is the segment register's index in
+    [CS, SS, DS, ES, FS, GS] order (the order of [Seghw.Segreg.name])
+    and [name] its name. The ring keeps the payload as ints, and the
+    record is built only when a plugin reads the kind or asked with
+    {!want_next}: with no such plugin the call allocates nothing.
+    {!events} rebuilds the record. [size] must fit in 56 bits. *)
+val limit_check :
+  sink -> seg:int -> base:int -> offset:int -> size:int -> write:bool ->
+  ok:bool -> unit
+
+(** [tlb_hit sink] records [Tlb_hit] exactly as {!emit} would, with an
+    int ring slot. *)
+val tlb_hit : sink -> unit
 
 (** {2 Hardware tally}
 

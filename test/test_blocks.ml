@@ -20,7 +20,11 @@
      fast path must not serve a translation for the old base;
    - TLB conflict evictions under the fast path — the generation
      counter must force a re-probe, keeping hit/miss accounting and
-     loaded values identical to the reference interpreter. *)
+     loaded values identical to the reference interpreter;
+   - the fault, fuel and mid-block-entry cases again under a sink,
+     where the traced closure set's partial commits and retire counts
+     must match the traced oracle's profile and event stream, and a
+     traced hot loop must allocate nothing per access. *)
 
 open Machine
 
@@ -70,7 +74,7 @@ let outcome_str = function
   | Status (Cpu.Faulted f) -> "faulted: " ^ Seghw.Fault.to_string f
 
 let run_one ~engine ?map_size ?(fuel = 1_000_000)
-    ?(setup = fun _ -> ()) insns =
+    ?(setup = fun _ -> ()) ?sink insns =
   let mmu = env ?map_size () in
   let phys = Phys_mem.create () in
   let program = Program.link ~entry:"main" (Insn.Label "main" :: insns) in
@@ -79,6 +83,7 @@ let run_one ~engine ?map_size ?(fuel = 1_000_000)
   in
   Registers.set (Cpu.regs cpu) Registers.ESP 0x8000;
   setup cpu;
+  Option.iter (fun s -> Cpu.set_sink cpu (Some s)) sink;
   let outcome =
     try Status (Cpu.run ~fuel cpu) with Cpu.Out_of_fuel -> Fuel_exhausted
   in
@@ -124,6 +129,38 @@ let check ?map_size ?fuel ?setup name insns =
         (Phys_mem.read8 (Cpu.phys orc) a)
   done;
   blk
+
+(* The traced leg: [insns] under the block engine's traced closure set
+   and under the reference oracle, each with its own sink, must agree
+   on the stop, the EIP, the counts, the per-function retire counts
+   ([Cpu.profile], fed by the block loop's retire bumps and the partial
+   commit) and the event stream, ring order included. *)
+let check_traced ?fuel ?setup name insns =
+  let leg engine =
+    let sink = Trace.create () in
+    let cpu, outcome = run_one ~engine ?fuel ?setup ~sink insns in
+    (cpu, outcome, sink)
+  in
+  let blk, ob, sb = leg Cpu.Block in
+  let orc, oo, so = leg Cpu.Reference in
+  let name = name ^ " (traced)" in
+  Alcotest.(check string) (name ^ ": outcome") (outcome_str oo)
+    (outcome_str ob);
+  Alcotest.(check int) (name ^ ": eip") (Cpu.eip orc) (Cpu.eip blk);
+  Alcotest.(check int) (name ^ ": insns") (Cpu.insns_executed orc)
+    (Cpu.insns_executed blk);
+  Alcotest.(check int) (name ^ ": cycles") (Cpu.cycles orc) (Cpu.cycles blk);
+  let prof cpu =
+    List.map (fun (f, i, c) -> Printf.sprintf "%s %d %d" f i c)
+      (Cpu.profile cpu)
+  in
+  Alcotest.(check (list string)) (name ^ ": profile") (prof orc) (prof blk);
+  let ring s = List.map (Format.asprintf "%a" Trace.pp_event) (Trace.events s) in
+  Alcotest.(check (list string)) (name ^ ": events") (ring so) (ring sb);
+  Alcotest.(check int) (name ^ ": total events") (Trace.total_events so)
+    (Trace.total_events sb);
+  Alcotest.(check (list (pair string int))) (name ^ ": counters")
+    (Trace.counters so) (Trace.counters sb)
 
 (* --- partition invariants ------------------------------------------------ *)
 
@@ -193,15 +230,16 @@ let test_fault_on_last_block_insn () =
      unmapped page): the committed counts, registers, and memory must
      match per-instruction execution exactly — the partial commit covers
      the first two instructions only. *)
-  let cpu =
-    check "fault/last-body"
-      Insn.[
-        Mov (Long, Reg Registers.EAX, Imm 7);
-        Mov (Long, Reg Registers.EBX, Imm 9);
-        Mov (Long, Mem (Insn.mem ~disp:0x20000 ()), Imm 1);
-        Halt;
-      ]
+  let insns =
+    Insn.[
+      Mov (Long, Reg Registers.EAX, Imm 7);
+      Mov (Long, Reg Registers.EBX, Imm 9);
+      Mov (Long, Mem (Insn.mem ~disp:0x20000 ()), Imm 1);
+      Halt;
+    ]
   in
+  let cpu = check "fault/last-body" insns in
+  check_traced "fault/last-body" insns;
   Alcotest.(check int) "both movs retired" 3 (Cpu.insns_executed cpu);
   match Cpu.status cpu with
   | Cpu.Faulted _ -> ()
@@ -210,17 +248,18 @@ let test_fault_on_last_block_insn () =
 let test_fault_on_terminator () =
   (* The terminator itself faults (Call pushing onto an unmapped stack
      page): the whole block body must already be committed. *)
-  let cpu =
-    check "fault/terminator"
-      Insn.[
-        Mov (Long, Reg Registers.ESP, Imm 0x20004);
-        Mov (Long, Reg Registers.EAX, Imm 3);
-        Call "sub";
-        Halt;
-        Label "sub";
-        Ret;
-      ]
+  let insns =
+    Insn.[
+      Mov (Long, Reg Registers.ESP, Imm 0x20004);
+      Mov (Long, Reg Registers.EAX, Imm 3);
+      Call "sub";
+      Halt;
+      Label "sub";
+      Ret;
+    ]
   in
+  let cpu = check "fault/terminator" insns in
+  check_traced "fault/terminator" insns;
   Alcotest.(check int) "body committed, call charged" 3
     (Cpu.insns_executed cpu);
   Alcotest.(check int) "EAX from committed body" 3
@@ -249,7 +288,8 @@ let test_fuel_mid_block () =
     ]
   in
   for fuel = 1 to 45 do
-    ignore (check ~fuel (Printf.sprintf "fuel=%d" fuel) insns : Cpu.t)
+    ignore (check ~fuel (Printf.sprintf "fuel=%d" fuel) insns : Cpu.t);
+    check_traced ~fuel (Printf.sprintf "fuel=%d" fuel) insns
   done
 
 (* --- mid-block entry ----------------------------------------------------- *)
@@ -276,6 +316,7 @@ let test_mid_block_entry () =
   Alcotest.(check int) "index 6 is mid-block (test premise)"
     Program.no_block p.Program.block_at.(6);
   let cpu = check "ret-to-middle" insns in
+  check_traced "ret-to-middle" insns;
   Alcotest.(check int) "skipped the block prefix" 3
     (Registers.get (Cpu.regs cpu) Registers.EAX)
 
@@ -503,6 +544,51 @@ let test_ret_into_hot_loop () =
   Alcotest.(check int) "mid-entry ran the block suffix once" 1003
     (Registers.get (Cpu.regs cpu) Registers.EBX)
 
+(* A traced hot loop on a sink with no plugins allocates nothing per
+   access: its limit checks and TLB hits go into the ring as ints, and
+   its retire counts are bumps of a preallocated array. The runtime
+   counts minor words exactly, so the bound holds on any host; a boxed
+   event per limit check would cost about 4 words per instruction
+   here. *)
+let test_traced_hot_loop_allocation () =
+  let iters = 20_000 in
+  let program =
+    Program.link ~entry:"main"
+      Insn.[
+        Label "main";
+        Mov (Long, Reg Registers.ECX, Imm iters);
+        Label "loop";
+        Mov (Long, Mem (Insn.mem ~disp:0x1000 ()), Reg Registers.ECX);
+        Mov (Long, Reg Registers.EAX, Mem (Insn.mem ~base:Registers.EBX
+                                             ~disp:0x1000 ()));
+        Push (Reg Registers.EAX);
+        Pop (Reg Registers.EDX);
+        Alu (Sub, Reg Registers.ECX, Imm 1);
+        Cmp (Reg Registers.ECX, Imm 0);
+        Jcc (Gt, "loop");
+        Halt;
+      ]
+  in
+  let cpu =
+    Cpu.create ~engine:Cpu.Block ~mmu:(env ()) ~phys:(Phys_mem.create ())
+      ~costs:Cost_model.pentium3 ~program ()
+  in
+  Registers.set (Cpu.regs cpu) Registers.ESP 0x8000;
+  let sink = Trace.create () in
+  Alcotest.(check (list string)) "no plugins (test premise)" []
+    (Trace.plugin_names sink);
+  Cpu.set_sink cpu (Some sink);
+  let w0 = Gc.minor_words () in
+  let status = Cpu.run cpu in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check string) "halted" "halted" (outcome_str (Status status));
+  Alcotest.(check int) "every access traced" (4 * iters)
+    (Trace.count sink Trace.K_limit_check_pass);
+  let per_insn = words /. float_of_int (Cpu.insns_executed cpu) in
+  if per_insn >= 0.1 then
+    Alcotest.failf "traced hot loop: %.3f minor words/insn, budget < 0.1"
+      per_insn
+
 (* --- compile counters ---------------------------------------------------- *)
 
 let test_block_counters () =
@@ -548,5 +634,7 @@ let suite =
     Alcotest.test_case "tlb conflict eviction under fast path" `Quick
       test_tlb_conflict_eviction;
     Alcotest.test_case "tlb generation counter" `Quick test_tlb_gen_counter;
+    Alcotest.test_case "traced hot loop allocates nothing per access" `Quick
+      test_traced_hot_loop_allocation;
     Alcotest.test_case "block compile counters" `Quick test_block_counters;
   ]

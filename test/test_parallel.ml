@@ -31,6 +31,34 @@ let test_result_ordering () =
     (fun i v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (i * i) v)
     out
 
+(* [CASH_JOBS] parses to a typed result, so every CLI can report a
+   malformed value as a usage error instead of an escaping [Failure]. *)
+let test_cash_jobs_parse () =
+  let show = function
+    | Ok n -> Printf.sprintf "Ok %d" n
+    | Error msg -> "Error " ^ msg
+  in
+  List.iter
+    (fun (v, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "CASH_JOBS=%S" v)
+        (show want)
+        (show (Parallel.jobs_of_env (Some v))))
+    [
+      ("abc", Error {|CASH_JOBS must be a positive integer, got "abc"|});
+      ("0", Error {|CASH_JOBS must be a positive integer, got "0"|});
+      ("-3", Error {|CASH_JOBS must be a positive integer, got "-3"|});
+      (" 2 ", Ok 2);
+    ];
+  Alcotest.(check string) "unset"
+    (show (Ok (Domain.recommended_domain_count ())))
+    (show (Parallel.jobs_of_env None));
+  Alcotest.(check string) "-j wins over CASH_JOBS" "Ok 3"
+    (show (Parallel.resolve_jobs (Some 3)));
+  Alcotest.(check string) "no -j reads CASH_JOBS"
+    (show (Parallel.jobs_of_env (Sys.getenv_opt "CASH_JOBS")))
+    (show (Parallel.resolve_jobs None))
+
 exception Boom of int
 
 let test_exception_lowest_index () =
@@ -251,6 +279,8 @@ let test_merged_matches_single_sink () =
 
 let suite =
   [
+    Alcotest.test_case "CASH_JOBS parses to a result" `Quick
+      test_cash_jobs_parse;
     Alcotest.test_case "result ordering" `Quick test_result_ordering;
     Alcotest.test_case "lowest-index failure wins" `Quick
       test_exception_lowest_index;

@@ -1,15 +1,17 @@
 (* The block engine against its oracle.
 
-   Both of the block engine's execution paths — untraced, the
-   superblocks (closure-compiled straight-line regions, per-segment TLB
-   fast path); traced, the per-instruction [exec] step over the
-   pre-decoded program (pre-resolved branch targets, tabulated cycle
-   costs, pre-interned stat counters, exception-free control flow) —
-   must be observationally indistinguishable from the reference
-   interpreter they replaced on the hot path: identical simulated
-   cycles, instruction counts, limit-check counts, program output, stat
-   counters, and final register/memory state — the
+   Both of the block engine's closure sets — untraced and traced, each
+   running the superblocks (closure-compiled straight-line regions,
+   per-segment TLB fast path) with the per-instruction [exec] step over
+   the pre-decoded program (pre-resolved branch targets, tabulated
+   cycle costs, pre-interned stat counters, exception-free control
+   flow) as their fallback — must be observationally indistinguishable
+   from the reference interpreter they replaced on the hot path:
+   identical simulated cycles, instruction counts, limit-check counts,
+   program output, stat counters, and final register/memory state — the
    bit-identical-reproduction invariant the benchmark tables depend on.
+   Traced, the event stream, the per-function attribution and the
+   shipped plugins' verdicts must match the oracle's as well.
 
    Plus unit tests for the link-time lowering itself (branch-target
    pre-resolution, stat-label marking, link errors) and for the flattened
@@ -37,9 +39,9 @@ let phys_of (r : Core.run) = Osim.Process.phys r.Core.process
 let all_gp =
   Machine.Registers.[ EAX; EBX; ECX; EDX; ESI; EDI; EBP; ESP ]
 
-(* Run [compiled] under the block engine, untraced (superblocks) and
-   with a fresh sink (every instruction through [exec]), and assert each
-   observable equal to the reference oracle's. [Core.run] loads a fresh
+(* Run [compiled] under the block engine, untraced and with a fresh
+   sink (the traced closure set), and assert each observable equal to
+   the reference oracle's. [Core.run] loads a fresh
    process each time, so the runs share nothing but the linked
    program. *)
 let fast_legs = [ ("block", false); ("block-traced", true) ]
@@ -141,10 +143,10 @@ let test_equiv_bcc_and_fault () =
    - attaching a sink must not change ANY observable of a run (status,
      cycles, insns, output, limit-check/TLB totals, stat counters) —
      the traced run is bit-identical to the untraced one;
-   - the event stream itself is engine-independent: the pre-decoded
-     engine and the reference oracle, each run with its own sink, must
-     produce identical event counters and identical per-function cycle
-     attribution. *)
+   - the event stream itself is engine-independent: the block engine
+     and the reference oracle, each run with its own sink carrying the
+     shipped plugins, must produce identical event counters, ring
+     contents, per-function cycle attribution and plugin verdicts. *)
 
 let check_run_identical name (a : Core.run) (b : Core.run) =
   Alcotest.(check string)
@@ -171,12 +173,31 @@ let check_run_identical name (a : Core.run) (b : Core.run) =
 
 let check_traced_equivalent name compiled =
   let untraced = Core.run ~engine:Machine.Cpu.Block compiled in
-  let sink_blk = Trace.create () in
+  let checked_sink () =
+    let s = Trace.create () in
+    Checkers.attach_shipped s;
+    s
+  in
+  let sink_blk = checked_sink () in
   let blk = Core.run ~engine:Machine.Cpu.Block ~trace:sink_blk compiled in
   check_run_identical (name ^ "/traced-vs-untraced") untraced blk;
-  let sink_ref = Trace.create () in
+  let sink_ref = checked_sink () in
   let slow = Core.run ~engine:Machine.Cpu.Reference ~trace:sink_ref compiled in
   check_run_identical (name ^ "/traced-engines") blk slow;
+  List.iter Trace.finish_plugins [ sink_blk; sink_ref ];
+  let ring s = List.map (Format.asprintf "%a" Trace.pp_event) (Trace.events s) in
+  Alcotest.(check (list string))
+    (name ^ ": ring, block vs reference")
+    (ring sink_ref) (ring sink_blk);
+  Alcotest.(check (list (pair string string)))
+    (name ^ ": plugin violations, block vs reference")
+    (Trace.violations sink_ref) (Trace.violations sink_blk);
+  Alcotest.(check (list (pair string string)))
+    (name ^ ": plugin reports, block vs reference")
+    (List.map (fun (n, j) -> (n, Trace.Json.to_string j))
+       (Trace.plugin_json sink_ref))
+    (List.map (fun (n, j) -> (n, Trace.Json.to_string j))
+       (Trace.plugin_json sink_blk));
   let attr (sym, insns, cycles) =
     Printf.sprintf "%s insns=%d cycles=%d" sym insns cycles
   in

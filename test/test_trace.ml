@@ -74,7 +74,61 @@ let test_ring () =
     "JSON events_dropped" (Some 6)
     (Option.bind
        (Trace.Json.member "events_dropped" (Trace.to_json into))
-       Trace.Json.to_int_opt)
+       Trace.Json.to_int_opt);
+  (* The hot kinds' int slots: a mixed stream fed through
+     [limit_check]/[tlb_hit] and [emit] into a small ring, past
+     wrap-around and through a merge, reads back exactly as the same
+     stream fed through [emit] alone. *)
+  let stream =
+    List.init 23 (fun i ->
+        match i mod 5 with
+        | 0 | 3 ->
+          let seg = i mod 6 in
+          ( `Check seg,
+            Trace.Limit_check
+              { seg = Seghw.Segreg.name_to_string
+                        (List.nth Seghw.Segreg.all_names seg);
+                base = 0x1000 * i; offset = 0xFFFFFFF0 + i;
+                size = [| 1; 2; 4; 8 |].(i mod 4); write = i mod 2 = 0;
+                ok = i mod 7 <> 0 } )
+        | 1 -> (`Hit, Trace.Tlb_hit)
+        | 2 -> (`Emit, Trace.Tlb_miss { page = i; evicted = i mod 4 = 2 })
+        | _ ->
+          (`Emit, Trace.Segreg_load { reg = "GS"; selector = i }))
+  in
+  let feed ~direct =
+    let s = Trace.create ~capacity:7 () in
+    List.iter
+      (fun (how, ev) ->
+        match how, ev with
+        | `Check seg, Trace.Limit_check { base; offset; size; write; ok; _ }
+          when direct ->
+          Trace.limit_check s ~seg ~base ~offset ~size ~write ~ok
+        | `Hit, _ when direct -> Trace.tlb_hit s
+        | _ -> Trace.emit s ev)
+      stream;
+    let into = Trace.create ~capacity:12 () in
+    Trace.emit into (Trace.Tlb_miss { page = 99; evicted = false });
+    Trace.merge_into ~into s;
+    (s, into)
+  in
+  let (d, d_into), (e, e_into) = (feed ~direct:true, feed ~direct:false) in
+  List.iter
+    (fun (what, d, e) ->
+      let ring s = List.map (Format.asprintf "%a" Trace.pp_event) (Trace.events s) in
+      Alcotest.(check (list string)) (what ^ ": events") (ring e) (ring d);
+      Alcotest.(check int) (what ^ ": dropped") (Trace.dropped e)
+        (Trace.dropped d);
+      Alcotest.(check string) (what ^ ": JSON")
+        (Trace.Json.to_string (Trace.to_json e))
+        (Trace.Json.to_string (Trace.to_json d)))
+    [ ("int slots", d, e); ("int slots merged", d_into, e_into) ];
+  Alcotest.(check int) "int slots: wrapped" 16 (Trace.dropped d);
+  List.iteri
+    (fun i n ->
+      Alcotest.(check int) ("segment index of " ^ Seghw.Segreg.name_to_string n)
+        i (Seghw.Segreg.index n))
+    Seghw.Segreg.all_names
 
 let test_histogram () =
   let h = Trace.Histogram.create () in
@@ -812,9 +866,9 @@ let test_restore_into_tally () =
    host. *)
 let test_emit_allocation () =
   let n = 100_000 in
-  let words_per_event emit_one =
+  let words_per_event ?(plugins = true) emit_one =
     let s = Trace.create () in
-    Checkers.attach_shipped s;
+    if plugins then Checkers.attach_shipped s;
     let w0 = Gc.minor_words () in
     for i = 1 to n do
       emit_one s i
@@ -833,6 +887,20 @@ let test_emit_allocation () =
     Alcotest.failf "Tlb_hit emit: %.2f minor words/event, budget < 1" hit;
   if check >= 8.0 then
     Alcotest.failf "Limit_check emit: %.2f minor words/event, budget < 8"
+      check;
+  (* The hot kinds' own entry points build no record for a kind no
+     plugin reads: [tlb_hit] next to the shipped set (none reads
+     [tlb.hit]), [limit_check] on a sink without plugins. *)
+  let hit = words_per_event (fun s _ -> Trace.tlb_hit s) in
+  let check =
+    words_per_event ~plugins:false (fun s i ->
+        Trace.limit_check s ~seg:2 ~base:0x1000 ~offset:(i land 0xFF) ~size:4
+          ~write:false ~ok:(i land 1 = 0))
+  in
+  if hit >= 1.0 then
+    Alcotest.failf "Trace.tlb_hit: %.2f minor words/event, budget < 1" hit;
+  if check >= 1.0 then
+    Alcotest.failf "Trace.limit_check: %.2f minor words/event, budget < 1"
       check
 
 (* Plugin reports ride the sink's JSON export under "plugins". *)
